@@ -47,14 +47,19 @@ def take_bits(material: bytes, bit_offset: int, nbits: int) -> bytes:
     """Extract ``nbits`` bits starting at ``bit_offset`` as a fresh buffer.
 
     The slice need not be byte aligned; the result is packed little-endian
-    starting at bit 0.
+    starting at bit 0. ``material`` may be any bytes-like buffer.
+
+    Cost is linear in ``nbits``: only the bytes the slice touches are
+    converted, so it does not grow with the size of ``material``.
     """
     if bit_offset < 0 or nbits < 0:
         raise ValueError("negative offset or length")
     if bit_offset + nbits > 8 * len(material):
         raise ValueError("slice extends past end of material")
-    whole = int.from_bytes(material, "little")
-    val = (whole >> bit_offset) & ((1 << nbits) - 1)
+    window = material[bit_offset >> 3:bytes_for_bits(bit_offset + nbits)]
+    val = (int.from_bytes(window, "little") >> (bit_offset & 7)) & (
+        (1 << nbits) - 1
+    )
     return val.to_bytes(bytes_for_bits(nbits), "little")
 
 

@@ -270,6 +270,9 @@ class KeyPool:
 
         Self-inverse over identical material, but a slice can be applied
         only once: reuse is a hard protocol fault, not a recoverable error.
+
+        Only the bytes under the pad are read, so the cost is linear in
+        ``data_bits`` and independent of how deep the pool is.
         """
         if key_slice.pool_id != self.pool_id:
             raise ValidationError(
@@ -292,7 +295,10 @@ class KeyPool:
                 f"slice at bit {key_slice.offset} of pool {self.pool_id!r} "
                 "was already applied"
             )
-        pad = take_bits(bytes(self._material), key_slice.offset, data_bits)
+        window = self._material[
+            key_slice.offset >> 3:bytes_for_bits(key_slice.offset + data_bits)
+        ]
+        pad = take_bits(window, key_slice.offset & 7, data_bits)
         pad += b"\x00" * (len(data) - len(pad))
         reservation.used = True
         reservation.consumed_bits = data_bits

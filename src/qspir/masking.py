@@ -189,7 +189,12 @@ def mask_bundle(
     role: int,
     masks: MaskSet,
 ) -> MaskedAnswerBundle:
-    """Pad one database's bundle; ``role`` is 1 or 2 per the scheme above."""
+    """Pad one database's bundle; ``role`` is 1 or 2 per the scheme above.
+
+    G is XOR-linear, so G_d(Q_d ^ {p}) = G_d(Q_d) xor table[d][p]: each
+    dimension costs one G-sum, and every flip pad is that shared base
+    xor one table word. Work is O(m) words per dimension, not O(m^2).
+    """
     m = masks.m
     if role not in (1, 2):
         raise ValidationError(f"role must be 1 or 2, got {role}")
@@ -211,11 +216,14 @@ def mask_bundle(
         a0_pad, t, flip_table, tag_table, blind = (
             masks.b, masks.t_b, masks.r_prime, masks.r, masks.u2
         )
+    bases = [
+        xor_bytes(_g(flip_table, d, query.dim(d), m, nbytes), t[d])
+        for d in range(3)
+    ]
     flips = tuple(
         tuple(
-            xor_bytes(
-                xor_bytes(bundle.flips[d][p], t[d]),
-                _g(flip_table, d, query.dim(d) ^ (1 << p), m, nbytes),
+            xor_many(
+                (bundle.flips[d][p], bases[d], flip_table[d][p]), nbytes
             )
             for p in range(m)
         )
@@ -278,19 +286,12 @@ def deserialize_masked_bundle(
             f"answer payload is {len(payload)} bytes, expected "
             f"{bytes_for_bits(total_bits)} for m={m}, L={record_bits}"
         )
-    acc = int.from_bytes(payload, "little")
-    if acc >> total_bits:
+    if total_bits % 8 and payload[-1] >> (total_bits % 8):
         raise ValidationError("answer payload sets bits beyond its width")
-    nbytes = bytes_for_bits(record_bits)
-    word_mask = (1 << record_bits) - 1
-
-    words = []
-    offset = 0
-    for _ in range(3 * m + 4):
-        words.append(
-            ((acc >> offset) & word_mask).to_bytes(nbytes, "little")
-        )
-        offset += record_bits
+    words = [
+        take_bits(payload, i * record_bits, record_bits)
+        for i in range(3 * m + 4)
+    ]
     flips = tuple(
         tuple(words[1 + d * m + p] for p in range(m)) for d in range(3)
     )

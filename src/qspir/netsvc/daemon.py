@@ -99,9 +99,12 @@ class DataCentreDaemon:
         self, state: SessionState | None, sid: bytes, reason: ErrorReason
     ) -> list[Frame]:
         if state is not None:
-            state.phase = Phase.CLOSED
             state.aborted = True
-            self._release_unused(state)
+            # Release only on the transition into CLOSED: a later frame on
+            # the same session must not return the slices a second time.
+            if state.phase is not Phase.CLOSED:
+                state.phase = Phase.CLOSED
+                self._release_unused(state)
         return [error_frame(sid, reason)]
 
     # -- frame dispatch ----------------------------------------------------
@@ -174,23 +177,26 @@ class DataCentreDaemon:
         if len(frame.payload) != bytes_for_bits(geom.query_bits):
             return self._abort(state, sid, ErrorReason.MALFORMED_QUERY)
 
-        plain = self.store.otp_apply(
-            frame.payload, state.slices.send, geom.query_bits
-        )
-        query = decode_query(plain, geom.m)
-        bundle = compute_answer_bundle(self.cube, query)
+        try:
+            plain = self.store.otp_apply(
+                frame.payload, state.slices.send, geom.query_bits
+            )
+            query = decode_query(plain, geom.m)
+            bundle = compute_answer_bundle(self.cube, query)
 
-        mask_material = self.store.otp_apply(
-            bytes(bytes_for_bits(geom.derive_bits)),
-            state.mask_slice,
-            geom.derive_bits,
-        )
-        masks = derive_mask_set(mask_material, geom.m, geom.record_bits)
-        masked = mask_bundle(bundle, query, self.role, masks)
-        payload = serialize_masked_bundle(masked, geom.record_bits)
-        ciphertext = self.store.otp_apply(
-            payload, state.slices.receive, geom.answer_bits
-        )
+            mask_material = self.store.otp_apply(
+                bytes(bytes_for_bits(geom.derive_bits)),
+                state.mask_slice,
+                geom.derive_bits,
+            )
+            masks = derive_mask_set(mask_material, geom.m, geom.record_bits)
+            masked = mask_bundle(bundle, query, self.role, masks)
+            payload = serialize_masked_bundle(masked, geom.record_bits)
+            ciphertext = self.store.otp_apply(
+                payload, state.slices.receive, geom.answer_bits
+            )
+        except SpirError:
+            return self._abort(state, sid, ErrorReason.MALFORMED_QUERY)
         state.phase = Phase.CLOSED
         return [
             Frame(MsgType.ANSWER, sid, ciphertext),

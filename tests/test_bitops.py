@@ -72,6 +72,31 @@ def test_take_bits_matches_manual_slice():
         take_bits(material, -1, 4)
 
 
+def test_take_bits_window_agrees_with_whole_buffer_reference():
+    """The windowed read equals shifting the whole buffer as one int."""
+    rng = random.Random(4)
+
+    def reference(buf, off, n):
+        return (int.from_bytes(buf, "little") >> off) & ((1 << n) - 1)
+
+    for size in (1, 2, 7, 64, 583):
+        material = rng.randbytes(size)
+        total = 8 * size
+        cases = [(0, 0), (total, 0), (0, total), (total - 1, 1)]
+        cases += [(total - n, n) for n in (1, 7, 9, 70) if n <= total]
+        for _ in range(200):
+            n = rng.randrange(0, min(total, 300) + 1)
+            cases.append((rng.randrange(0, total - n + 1), n))
+        for off, n in cases:
+            for buf in (material, bytearray(material)):
+                got = take_bits(buf, off, n)
+                assert isinstance(got, bytes)
+                assert len(got) == bytes_for_bits(n)
+                assert int.from_bytes(got, "little") == reference(buf, off, n)
+        with pytest.raises(ValueError):
+            take_bits(bytearray(material), total - 2, 3)
+
+
 def test_mask_to_positions():
     assert mask_to_positions(0b1011, 4) == [0, 1, 3]
     assert mask_to_positions(0, 4) == []

@@ -57,6 +57,34 @@ def test_otp_apply_is_single_use_and_correct():
         pool.otp_apply(out, dup)
 
 
+def test_otp_apply_last_slice_of_deep_pool_matches_reference_pad():
+    """The pad read from the pool's last session slice is the same as
+    shifting the whole pool as one int, at unaligned slice offsets."""
+    slice_bits, sessions = 1003, 10  # the last slice starts mid-byte
+    material = BitSource("deep").take_bytes(
+        (slice_bits * sessions + 7) // 8
+    )
+    whole = int.from_bytes(material, "little")
+    for data_bits in (slice_bits, 997, 1):
+        pool = KeyPool("deep", material)
+        slices = [
+            pool.reserve_at(f"s{i}", i * slice_bits, slice_bits, "pad")
+            for i in range(sessions)
+        ]
+        last = slices[-1]
+        assert last.offset % 8 == 3
+        data = BitSource(f"data-{data_bits}").take_bytes(
+            (data_bits + 7) // 8 + 1
+        )
+        pad = (whole >> last.offset) & ((1 << data_bits) - 1)
+        expect = (int.from_bytes(data, "little") ^ pad).to_bytes(
+            len(data), "little"
+        )
+        assert pool.otp_apply(data, last, data_bits) == expect
+        with pytest.raises(KeyReuseError):
+            pool.otp_apply(data, last, data_bits)
+
+
 def test_otp_apply_partial_bits_and_validation():
     pool = _pool(nbytes=16)
     s = pool.reserve("s", 20, "pad")

@@ -6,6 +6,7 @@ from qspir.bitops import bytes_for_bits, xor_bytes
 from qspir.cube import Database
 from qspir.errors import BudgetExhaustedError, ValidationError
 from qspir.masking import (
+    MaskedAnswerBundle,
     answer_payload_bits,
     derive_mask_set,
     deserialize_masked_bundle,
@@ -162,13 +163,18 @@ def test_serialize_roundtrip_and_strictness():
         )
         back = deserialize_masked_bundle(wire, db.m, record_bits)
         assert back == mb1
-    with pytest.raises(ValidationError):
-        deserialize_masked_bundle(wire + b"\x00", db.m, record_bits)
-    if answer_payload_bits(db.m, record_bits) % 8:
-        tampered = bytearray(wire)
-        tampered[-1] |= 0x80
         with pytest.raises(ValidationError):
-            deserialize_masked_bundle(bytes(tampered), db.m, record_bits)
+            deserialize_masked_bundle(wire + b"\x00", db.m, record_bits)
+        # 10 and 65 payload bits leave spare high bits; 208 bits do not.
+        used = answer_payload_bits(db.m, record_bits) % 8
+        if used:
+            for spare in (used, 7):
+                tampered = bytearray(wire)
+                tampered[-1] |= 1 << spare
+                with pytest.raises(ValidationError):
+                    deserialize_masked_bundle(
+                        bytes(tampered), db.m, record_bits
+                    )
 
 
 def test_mask_bundle_validation():
@@ -183,3 +189,57 @@ def test_mask_bundle_validation():
     other_q, _ = gen_queries(0, wrong_q, 3)
     with pytest.raises(ValidationError):
         mask_bundle(bundle, other_q, 1, masks)
+
+
+def _mask_bundle_per_flip(bundle, query, role, masks):
+    """Reference masking: a full G-sum over Q_d ^ {p} for every flip."""
+    m, nbytes = masks.m, bytes_for_bits(masks.record_bits)
+    if role == 1:
+        a0_pad, t, flip_table, tag_table, blind = (
+            masks.a, masks.t_a, masks.r, masks.r_prime, masks.u1
+        )
+    else:
+        a0_pad, t, flip_table, tag_table, blind = (
+            masks.b, masks.t_b, masks.r_prime, masks.r, masks.u2
+        )
+
+    def g(table, d, members):
+        acc = bytes(nbytes)
+        for i in range(m):
+            if (members >> i) & 1:
+                acc = xor_bytes(acc, table[d][i])
+        return acc
+
+    flips = tuple(
+        tuple(
+            xor_bytes(
+                xor_bytes(bundle.flips[d][p], t[d]),
+                g(flip_table, d, query.dim(d) ^ (1 << p)),
+            )
+            for p in range(m)
+        )
+        for d in range(3)
+    )
+    tags = tuple(
+        xor_bytes(g(tag_table, d, query.dim(d)), blind[d]) for d in range(3)
+    )
+    return MaskedAnswerBundle(
+        a0=xor_bytes(bundle.a0, a0_pad), flips=flips, tags=tags
+    )
+
+
+def test_mask_bundle_equals_per_flip_g_sums():
+    rng = random.Random(35)
+    for record_bits in (1, 5, 16):
+        for n in (8, 27, 100):
+            db = _database(rng, n, record_bits)
+            for trial in range(3):
+                x = rng.randrange(n)
+                q1, q2, masks, mb1, mb2 = _session(
+                    db, x, f"linear-{n}-{record_bits}-{trial}"
+                )
+                for role, query, got in ((1, q1, mb1), (2, q2, mb2)):
+                    bundle = compute_answer_bundle(db, query)
+                    assert got == _mask_bundle_per_flip(
+                        bundle, query, role, masks
+                    )

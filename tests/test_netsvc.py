@@ -336,6 +336,47 @@ def test_malformed_query_releases_and_index_is_reusable():
     assert [f.msg_type for f in redo] == [MsgType.PROVISION]
 
 
+def _provisioned(rig, seed):
+    geom = rig.geometry
+    sid = new_session_id(0, BitSource(seed))
+    provision = encode_provision(geom.n, geom.record_bits, 0)
+    ok = rig.dc1.handle_frame(Frame(MsgType.PROVISION, sid, provision), "user")
+    assert [f.msg_type for f in ok] == [MsgType.PROVISION]
+    return sid
+
+
+def test_query_with_spare_bits_set_aborts_with_error_frame():
+    rig = build_rig(sessions=2)
+    sid = _provisioned(rig, "spare-bits")
+    # m = 2: the 6 query bits are padded, the high two pass through clear.
+    assert rig.geometry.query_bits == 6
+    replies = rig.dc1.handle_frame(Frame(MsgType.QUERY, sid, b"\xc0"), "user")
+    assert [error_reason(f) for f in replies] == [ErrorReason.MALFORMED_QUERY]
+    state = rig.dc1.sessions[sid]
+    assert state.phase.value == "closed" and state.aborted is True
+    # The send pad was applied and stays burnt; the rest is released.
+    user_pool = rig.stores["dc1"].pool("user-dc1")
+    assert user_pool.slice_used(state.slices.send)
+    assert user_pool.report().reserved_bits == state.slices.send.bits
+    assert rig.stores["dc1"].pool("dc-pair").report().reserved_bits == 0
+    rig.stores["dc1"].audit_no_reuse()
+
+
+def test_frames_after_abort_get_bad_phase_without_second_release():
+    rig = build_rig(sessions=2)
+    sid = _provisioned(rig, "re-abort")
+    bad = rig.dc1.handle_frame(Frame(MsgType.QUERY, sid, b"\x00\x00"), "user")
+    assert [error_reason(f) for f in bad] == [ErrorReason.MALFORMED_QUERY]
+    ledger_lines = len(rig.stores["dc1"].entries)
+    payload = bytes(bytes_for_bits(rig.geometry.query_bits))
+    for query in (b"\x00\x00", payload):
+        again = rig.dc1.handle_frame(Frame(MsgType.QUERY, sid, query), "user")
+        assert [error_reason(f) for f in again] == [ErrorReason.BAD_PHASE]
+    assert len(rig.stores["dc1"].entries) == ledger_lines
+    for pool_id in ("user-dc1", "dc-pair"):
+        assert rig.stores["dc1"].pool(pool_id).report().reserved_bits == 0
+
+
 def test_provision_parameter_validation():
     rig = build_rig(sessions=2)
     geom = rig.geometry
