@@ -23,7 +23,7 @@ from .errors import (
     SpirError,
     StorageError,
 )
-from .keystore import KeyPool, KeyStore, create_pool
+from .keystore import KeyPool
 from .masking import required_key_budget
 from .netsvc import (
     DataCentreDaemon,
@@ -39,6 +39,7 @@ from .qkd.distill import distill_session
 from .qkd.finitekey import EpsilonBudget, binary_entropy, finite_key_length
 from .qkd.optimize import export_curve_csv, sweep_distance
 from .rng import BitSource
+from .topology import LINKS, PARTY_LINKS, install_pools, load_party_store
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -112,7 +113,7 @@ def cmd_qkd_keygen(args: argparse.Namespace) -> int:
                 args.pool_id, args.bits, 8 * len(material)
             )
         material = material[: (args.bits + 7) // 8]
-    pool = create_pool(args.pool_id, material)
+    pool = KeyPool(args.pool_id, material)
     pool.save(args.out)
     print(
         f"pool {args.pool_id}: {pool.capacity_bits:,} bits "
@@ -121,19 +122,11 @@ def cmd_qkd_keygen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_PARTY_LINKS = (
-    ("user", ("user-dc1", "user-dc2")),
-    ("dc1", ("user-dc1", "dc-pair")),
-    ("dc2", ("user-dc2", "dc-pair")),
-)
-
-
 def cmd_provision(args: argparse.Namespace) -> int:
     config = _load_config(args)
     seed = config.get("run", "seed")
     channel = config.channel_model()
     params = config.protocol_params()
-    links = ("user-dc1", "user-dc2", "dc-pair")
     materials: dict[str, bytes] = {}
     if args.reuse_keys:
         print(
@@ -144,23 +137,18 @@ def cmd_provision(args: argparse.Namespace) -> int:
             channel, params, f"{seed}/qkd-shared"
         )
         shared = key_a.material[: key_a.bit_length // 8]
-        for link in links:
+        for link in LINKS:
             materials[link] = shared
         print(f"distilled shared key: {result.l:,} bits")
     else:
-        for link in links:
+        for link in LINKS:
             key_a, _b, result = distill_session(
                 channel, params, f"{seed}/qkd-{link}"
             )
             materials[link] = key_a.material[: key_a.bit_length // 8]
             print(f"distilled {link}: {result.l:,} bits")
-    for party, party_links in _PARTY_LINKS:
-        party_dir = os.path.join(args.out_dir, party)
-        os.makedirs(party_dir, exist_ok=True)
-        for link in party_links:
-            path = os.path.join(party_dir, f"{link}.qkey")
-            KeyPool(link, materials[link]).save(path)
-            print(f"installed {path}")
+    for path in install_pools(args.out_dir, materials):
+        print(f"installed {path}")
     return EXIT_OK
 
 
@@ -185,28 +173,13 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _party_store(pool_dir: str, party: str, links: tuple[str, ...],
-                 ledger: str | None) -> KeyStore:
-    store = KeyStore(ledger_path=ledger)
-    for link in links:
-        store.add_pool(
-            KeyPool.load(os.path.join(pool_dir, party, f"{link}.qkey"))
-        )
-    return store
-
-
 def cmd_serve_dc(args: argparse.Namespace) -> int:
     config = _load_config(args)
     cube = Database.load(args.database)
     party = f"dc{args.role}"
-    store = _party_store(
-        args.pool_dir,
-        party,
-        (f"user-dc{args.role}", "dc-pair"),
-        args.ledger,
-    )
+    store = load_party_store(args.pool_dir, party, args.ledger)
     daemon = DataCentreDaemon(
-        party, args.role, cube, store, f"user-dc{args.role}", "dc-pair"
+        party, args.role, cube, store, *PARTY_LINKS[party]
     )
     host, port = config.endpoint(party)
     server = DaemonServer((host, port), daemon)
@@ -228,9 +201,7 @@ def cmd_get(args: argparse.Namespace) -> int:
     record_bits = 8 * max(lengths)
     n = len(entries)
     geometry = SessionGeometry.for_database(n, record_bits)
-    store = _party_store(
-        args.pool_dir, "user", ("user-dc1", "user-dc2"), args.ledger
-    )
+    store = load_party_store(args.pool_dir, "user", args.ledger)
     seed = config.get("run", "seed")
     client = UserClient(
         store,

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .cube import Database, load_manifest
 from .errors import ConfigurationError
-from .keystore import KeyPool, KeyStore, PoolReport
+from .keystore import KeyStore, PoolReport
 from .masking import KeyBudget, required_key_budget
 from .netsvc import (
     DataCentreDaemon,
@@ -31,11 +31,10 @@ from .netsvc import (
 from .qkd.channel import ChannelModel, ProtocolParams
 from .qkd.distill import distill_session
 from .rng import BitSource
+from .topology import LINKS, PARTY_LINKS, install_pools, load_party_store
 
 DEMO_ENTRIES = 800
 DEMO_MAX_RECORD_BYTES = 582
-
-_LINKS = ("user-dc1", "user-dc2", "dc-pair")
 
 
 @dataclass
@@ -134,52 +133,30 @@ def run_demo(
     pools_dir = os.path.join(workdir, "pools")
     link_lengths: dict[str, int] = {}
     materials: dict[str, bytes] = {}
-    for link in _LINKS:
+    for link in LINKS:
         materials[link], link_lengths[link] = _distill_material(
             channel, params, f"{seed}/qkd-{link}"
         )
         say(f"qkd {link}: distilled {link_lengths[link]:,} bits")
-    for party, links in (
-        ("user", ("user-dc1", "user-dc2")),
-        ("dc1", ("user-dc1", "dc-pair")),
-        ("dc2", ("user-dc2", "dc-pair")),
-    ):
-        party_dir = os.path.join(pools_dir, party)
-        os.makedirs(party_dir, exist_ok=True)
-        for link in links:
-            KeyPool(link, materials[link]).save(
-                os.path.join(party_dir, f"{link}.qkey")
-            )
+    install_pools(pools_dir, materials)
 
     # Stores, daemons, monitored network.
     ledgers_dir = os.path.join(workdir, "ledgers")
     os.makedirs(ledgers_dir, exist_ok=True)
-    stores: dict[str, KeyStore] = {}
-    for party, links in (
-        ("user", ("user-dc1", "user-dc2")),
-        ("dc1", ("user-dc1", "dc-pair")),
-        ("dc2", ("user-dc2", "dc-pair")),
-    ):
-        store = KeyStore(
-            ledger_path=_fresh(os.path.join(ledgers_dir, f"{party}.txt"))
+    stores: dict[str, KeyStore] = {
+        party: load_party_store(
+            pools_dir, party, _fresh(os.path.join(ledgers_dir, f"{party}.txt"))
         )
-        for link in links:
-            store.add_pool(
-                KeyPool.load(os.path.join(pools_dir, party, f"{link}.qkey"))
-            )
-        stores[party] = store
+        for party in PARTY_LINKS
+    }
 
     monitor = LinkMonitor(
         dc_names={"dc1", "dc2"},
         audit_path=_fresh(os.path.join(workdir, "audit.txt")),
     )
     network = InProcessNetwork(monitor)
-    dc1 = DataCentreDaemon(
-        "dc1", 1, cube, stores["dc1"], "user-dc1", "dc-pair"
-    )
-    dc2 = DataCentreDaemon(
-        "dc2", 2, cube, stores["dc2"], "user-dc2", "dc-pair"
-    )
+    dc1 = DataCentreDaemon("dc1", 1, cube, stores["dc1"], *PARTY_LINKS["dc1"])
+    dc2 = DataCentreDaemon("dc2", 2, cube, stores["dc2"], *PARTY_LINKS["dc2"])
     network.register("dc1", dc1.handle_frame)
     network.register("dc2", dc2.handle_frame)
 
@@ -221,7 +198,7 @@ def run_demo(
         f"DC-DC {budgets.dc_dc_bits:,} bits"
     )
     pool_reports: dict[str, PoolReport] = {}
-    for party in ("user", "dc1", "dc2"):
+    for party in PARTY_LINKS:
         stores[party].audit_no_reuse()
         for pool in stores[party].pools():
             rep = pool.report()

@@ -1,16 +1,20 @@
-"""Pre-shared key pools with budget reservations and one-time-pad audit.
+"""Pre-shared key pools with index-scheduled reservations and OTP audit.
 
 Every party pair (user and either data centre, or the two data centres)
 shares one pool of key material. Sessions reserve their full bit budget up
-front; actual pad applications must land inside a reservation, and no key
-bit is ever used twice. An append-only ledger with logical timestamps
-records every reservation so consumption can be audited against budgets.
+front at offsets both ends compute from the session index alone
+(:meth:`KeyPool.reserve_at`); a range that overlaps a live reservation or
+leaves its region is refused, pad applications must land on a reservation,
+and no key bit is ever applied twice. An append-only ledger with logical
+timestamps records every reservation and release, so consumption can be
+audited against budgets and a restarted party can replay it: a range that
+an earlier run reserved stays reserved.
 
-User-facing pools are split into two directional halves: outbound traffic
-(queries) draws from the first half, inbound traffic (answers) from the
-second, so the two directions can never collide. The data-centre pair pool
-is allocated as a single undirected region, since its material pads a
-shared mask set rather than directional traffic.
+User-facing pools are split into two directional regions: outbound
+traffic (queries) draws from the first half, inbound traffic (answers)
+from the second, so the two directions can never collide. The data-centre
+pair pool is one undirected region, since its material pads a shared mask
+set rather than directional traffic.
 """
 
 from __future__ import annotations
@@ -59,7 +63,6 @@ class Reservation:
     bits: int
     purpose: str
     direction: Direction
-    timestamp: int
     consumed_bits: int = 0
     used: bool = False
 
@@ -76,16 +79,22 @@ class PoolReport:
 
 
 class KeyPool:
-    """Shared key material for one party pair, with reservation ledger."""
+    """Shared key material for one party pair, with its live reservations.
+
+    Reservations are keyed by offset: ``reserve_at`` refuses overlaps, so
+    no two live reservations start at the same bit.
+    """
 
     def __init__(self, pool_id: str, material: bytes):
         if not material:
             raise ConfigurationError(f"pool {pool_id!r} created without material")
         self.pool_id = pool_id
         self._material = bytearray(material)
-        self._reservations: list[Reservation] = []
-        self._clock = 0
+        self._reservations: dict[int, Reservation] = {}
         self._ever_reserved = 0
+        # Reserved bits the pool file recorded when loaded; a replayed
+        # ledger must account for at least this many.
+        self._recorded_consumed = 0
 
     @property
     def capacity_bits(self) -> int:
@@ -98,80 +107,16 @@ class KeyPool:
 
     @property
     def reservations(self) -> tuple[Reservation, ...]:
-        return tuple(self._reservations)
-
-    def append_material(self, material: bytes) -> None:
-        """Extend capacity; only legal before any reservation exists."""
-        if self._reservations:
-            raise ConfigurationError(
-                f"pool {self.pool_id!r} already has reservations; "
-                "provision before use"
-            )
-        self._material.extend(material)
-
-    # -- regions ----------------------------------------------------------
-
-    @property
-    def _boundary_bit(self) -> int:
-        """First bit of the receive half (send gets the floor on odd size)."""
-        return self.capacity_bits // 2
+        return tuple(self._reservations.values())
 
     def region(self, direction: Direction) -> tuple[int, int]:
         """Absolute [start, end) bit range of a direction's region."""
-        return self._region(direction)
-
-    def _region(self, direction: Direction) -> tuple[int, int]:
+        half = self.capacity_bits // 2
         if direction is Direction.SEND:
-            return 0, self._boundary_bit
+            return 0, half
         if direction is Direction.RECEIVE:
-            return self._boundary_bit, self.capacity_bits
+            return half, self.capacity_bits
         return 0, self.capacity_bits
-
-    def _cursor(self, direction: Direction) -> int:
-        start, _ = self._region(direction)
-        ends = [
-            r.offset + r.bits
-            for r in self._reservations
-            if r.direction is direction
-        ]
-        return max(ends, default=start)
-
-    def remaining(self, direction: Direction = Direction.WHOLE) -> int:
-        _, end = self._region(direction)
-        return end - self._cursor(direction)
-
-    def reserve(
-        self,
-        session: str,
-        bits: int,
-        purpose: str,
-        direction: Direction = Direction.WHOLE,
-    ) -> KeySlice:
-        """Claim ``bits`` for a session; fails with the exact deficit."""
-        if bits <= 0:
-            raise ValidationError(f"reservation of {bits} bits is not positive")
-        directional = {
-            r.direction for r in self._reservations
-        } - {Direction.WHOLE}
-        if direction is Direction.WHOLE and directional:
-            raise ValidationError(
-                f"pool {self.pool_id!r} is partitioned; reserve on a half"
-            )
-        if direction is not Direction.WHOLE and any(
-            r.direction is Direction.WHOLE for r in self._reservations
-        ):
-            raise ValidationError(
-                f"pool {self.pool_id!r} already allocates undirected"
-            )
-        available = self.remaining(direction)
-        if bits > available:
-            raise BudgetExhaustedError(
-                f"{self.pool_id}:{direction.value}", bits, available
-            )
-        offset = self._cursor(direction)
-        return self._append_reservation(
-            session, offset, bits, purpose, direction
-        )
 
     def reserve_at(
         self,
@@ -189,44 +134,41 @@ class KeyPool:
         """
         if bits <= 0:
             raise ValidationError(f"reservation of {bits} bits is not positive")
-        start, end = self._region(direction)
+        start, end = self.region(direction)
         if offset < start or offset + bits > end:
             raise BudgetExhaustedError(
                 f"{self.pool_id}:{direction.value}",
                 bits,
                 max(0, end - offset),
             )
-        for r in self._reservations:
+        for r in self._reservations.values():
             if r.offset < offset + bits and offset < r.offset + r.bits:
                 raise KeyReuseError(
                     f"pool {self.pool_id!r}: range [{offset}, "
                     f"{offset + bits}) overlaps an existing reservation"
                 )
-        return self._append_reservation(
-            session, offset, bits, purpose, direction
+        return self._add(
+            Reservation(session, offset, bits, purpose, direction)
         )
 
-    def _append_reservation(
-        self,
-        session: str,
-        offset: int,
-        bits: int,
-        purpose: str,
-        direction: Direction,
-    ) -> KeySlice:
-        self._clock += 1
-        self._reservations.append(
-            Reservation(
-                session=session,
-                offset=offset,
-                bits=bits,
-                purpose=purpose,
-                direction=direction,
-                timestamp=self._clock,
+    def _add(self, reservation: Reservation) -> KeySlice:
+        if reservation.offset in self._reservations:
+            raise KeyReuseError(
+                f"pool {self.pool_id!r}: two reservations start at bit "
+                f"{reservation.offset}"
             )
-        )
-        self._ever_reserved += bits
-        return KeySlice(pool_id=self.pool_id, offset=offset, bits=bits)
+        self._reservations[reservation.offset] = reservation
+        self._ever_reserved += reservation.bits
+        return KeySlice(self.pool_id, reservation.offset, reservation.bits)
+
+    def _reservation(self, key_slice: KeySlice) -> Reservation:
+        r = self._reservations.get(key_slice.offset)
+        if r is None or r.bits != key_slice.bits:
+            raise ValidationError(
+                f"slice at bit {key_slice.offset} (+{key_slice.bits}) "
+                f"matches no reservation in pool {self.pool_id!r}"
+            )
+        return r
 
     def release(self, key_slice: KeySlice) -> None:
         """Return an unused reservation's bits to the pool.
@@ -234,34 +176,15 @@ class KeyPool:
         Only reservations whose pad was never applied may be released;
         anything already sent stays consumed forever.
         """
-        for i, r in enumerate(self._reservations):
-            if r.offset == key_slice.offset and r.bits == key_slice.bits:
-                if r.used:
-                    raise KeyReuseError(
-                        f"pool {self.pool_id!r}: slice at bit {r.offset} "
-                        "was applied and cannot be released"
-                    )
-                del self._reservations[i]
-                return
-        raise ValidationError(
-            f"slice at bit {key_slice.offset} (+{key_slice.bits}) matches "
-            f"no reservation in pool {self.pool_id!r}"
-        )
+        r = self._reservation(key_slice)
+        if r.used:
+            raise KeyReuseError(
+                f"pool {self.pool_id!r}: slice at bit {r.offset} "
+                "was applied and cannot be released"
+            )
+        del self._reservations[r.offset]
 
     # -- pad application ---------------------------------------------------
-
-    def _matching(self, key_slice: KeySlice) -> list[Reservation]:
-        matches = [
-            r
-            for r in self._reservations
-            if r.offset == key_slice.offset and r.bits == key_slice.bits
-        ]
-        if not matches:
-            raise ValidationError(
-                f"slice at bit {key_slice.offset} (+{key_slice.bits}) "
-                f"matches no reservation in pool {self.pool_id!r}"
-            )
-        return matches
 
     def otp_apply(
         self, data: bytes, key_slice: KeySlice, data_bits: int | None = None
@@ -287,10 +210,8 @@ class KeyPool:
             raise ValidationError(
                 f"data of {data_bits} bits exceeds slice of {key_slice.bits}"
             )
-        reservation = next(
-            (r for r in self._matching(key_slice) if not r.used), None
-        )
-        if reservation is None:
+        reservation = self._reservation(key_slice)
+        if reservation.used:
             raise KeyReuseError(
                 f"slice at bit {key_slice.offset} of pool {self.pool_id!r} "
                 "was already applied"
@@ -305,53 +226,29 @@ class KeyPool:
         return xor_bytes(data, pad)
 
     def slice_used(self, key_slice: KeySlice) -> bool:
-        """Whether every reservation matching the slice has been applied."""
-        return all(r.used for r in self._matching(key_slice))
+        """Whether the slice's reservation has been applied."""
+        return self._reservation(key_slice).used
 
     def material_digest(self) -> bytes:
         """SHA-256 of the raw material, for provisioning cross-checks."""
         return hashlib.sha256(bytes(self._material)).digest()
 
-    def duplicate_slice_for_test(self, key_slice: KeySlice) -> KeySlice:
-        """Test hook: a fresh unused reservation over the same material.
-
-        Exists only so involution and fault-injection tests can decrypt;
-        production code paths never re-issue a range.
-        """
-        reservation = self._matching(key_slice)[0]
-        self._clock += 1
-        clone = Reservation(
-            session=reservation.session + "/test-dup",
-            offset=reservation.offset,
-            bits=reservation.bits,
-            purpose=reservation.purpose + "/test-dup",
-            direction=reservation.direction,
-            timestamp=self._clock,
-        )
-        self._reservations.append(clone)
-        return KeySlice(
-            pool_id=self.pool_id,
-            offset=reservation.offset,
-            bits=reservation.bits,
-        )
-
     # -- reporting & audit -------------------------------------------------
 
     def report(self) -> PoolReport:
+        reservations = self.reservations
         return PoolReport(
             pool_id=self.pool_id,
             capacity_bits=self.capacity_bits,
-            reserved_bits=sum(r.bits for r in self._reservations),
-            consumed_bits=sum(r.consumed_bits for r in self._reservations),
-            reservations=list(self._reservations),
+            reserved_bits=sum(r.bits for r in reservations),
+            consumed_bits=sum(r.consumed_bits for r in reservations),
+            reservations=list(reservations),
         )
 
     def audit_no_overlap(self) -> None:
-        """Assert no two non-test reservations share a key bit."""
+        """Assert no two reservations share a key bit."""
         spans = sorted(
-            (r.offset, r.offset + r.bits)
-            for r in self._reservations
-            if not r.purpose.endswith("/test-dup")
+            (r.offset, r.offset + r.bits) for r in self._reservations.values()
         )
         for (_, prev_end), (start, _) in zip(spans, spans[1:]):
             if start < prev_end:
@@ -393,42 +290,45 @@ class KeyPool:
                 f"file carries {8 * len(material)}"
             )
         pool = cls(pool_id, material)
-        pool._restored_consumed = consumed
+        pool._recorded_consumed = consumed
         return pool
 
     def replay_ledger(self, entries: list["LedgerEntry"]) -> None:
-        """Rebuild reservation state from ledger lines after :meth:`load`."""
-        for entry in entries:
-            if entry.pool_id != self.pool_id:
-                continue
-            self._clock = max(self._clock, entry.timestamp)
-            if entry.purpose.startswith("release:"):
-                self.release(
-                    KeySlice(
-                        pool_id=self.pool_id,
+        """Rebuild reservation state from ledger lines after :meth:`load`.
+
+        All or nothing: a ledger that overlaps itself, releases a range it
+        never reserved, or replays fewer reserved bits than the pool file
+        recorded raises and leaves the pool as it was.
+        """
+        saved = dict(self._reservations), self._ever_reserved
+        try:
+            for entry in entries:
+                if entry.pool_id != self.pool_id:
+                    continue
+                if entry.purpose.startswith("release:"):
+                    self.release(
+                        KeySlice(self.pool_id, entry.offset, entry.bits)
+                    )
+                    continue
+                self._add(
+                    Reservation(
+                        session=entry.session,
                         offset=entry.offset,
                         bits=entry.bits,
+                        purpose=entry.purpose,
+                        direction=Direction(entry.direction),
                     )
                 )
-                continue
-            self._reservations.append(
-                Reservation(
-                    session=entry.session,
-                    offset=entry.offset,
-                    bits=entry.bits,
-                    purpose=entry.purpose,
-                    direction=Direction(entry.direction),
-                    timestamp=entry.timestamp,
+            self.audit_no_overlap()
+            if self.consumed < self._recorded_consumed:
+                raise StorageError(
+                    f"pool {self.pool_id!r}: file records "
+                    f"{self._recorded_consumed} reserved bits but ledger "
+                    f"replays {self.consumed}"
                 )
-            )
-            self._ever_reserved += entry.bits
-        self.audit_no_overlap()
-        restored = getattr(self, "_restored_consumed", None)
-        if restored is not None and restored != self.consumed:
-            raise StorageError(
-                f"pool {self.pool_id!r}: file records {restored} reserved "
-                f"bits but ledger replays {self.consumed}"
-            )
+        except Exception:
+            self._reservations, self._ever_reserved = saved
+            raise
 
 
 @dataclass(frozen=True)
@@ -466,64 +366,6 @@ class LedgerEntry:
         )
 
 
-def create_pool(pool_id: str, material: bytes) -> KeyPool:
-    """New pool over fresh material; consumed starts at zero."""
-    return KeyPool(pool_id, material)
-
-
-def reserve_segment(
-    pool: KeyPool,
-    session: str,
-    bits: int,
-    purpose: str,
-    direction: Direction = Direction.WHOLE,
-) -> KeySlice:
-    return pool.reserve(session, bits, purpose, direction)
-
-
-def otp_apply(
-    pool: KeyPool,
-    data: bytes,
-    key_slice: KeySlice,
-    data_bits: int | None = None,
-) -> bytes:
-    return pool.otp_apply(data, key_slice, data_bits)
-
-
-class DirectionalHalf:
-    """A reserve-only view of one direction of a pool."""
-
-    def __init__(self, pool: KeyPool, direction: Direction):
-        self.pool = pool
-        self.direction = direction
-
-    @property
-    def capacity_bits(self) -> int:
-        start, end = self.pool._region(self.direction)
-        return end - start
-
-    @property
-    def remaining(self) -> int:
-        return self.pool.remaining(self.direction)
-
-    def reserve(self, session: str, bits: int, purpose: str) -> KeySlice:
-        return self.pool.reserve(session, bits, purpose, self.direction)
-
-
-def partition_directional(
-    pool: KeyPool,
-) -> tuple[DirectionalHalf, DirectionalHalf]:
-    """(send half, receive half); send gets the floor of an odd capacity."""
-    return (
-        DirectionalHalf(pool, Direction.SEND),
-        DirectionalHalf(pool, Direction.RECEIVE),
-    )
-
-
-def ledger_report(pool: KeyPool) -> PoolReport:
-    return pool.report()
-
-
 class KeyStore:
     """A party's pools plus the shared append-only ledger file."""
 
@@ -543,9 +385,6 @@ class KeyStore:
         self._pools[pool.pool_id] = pool
         return pool
 
-    def create_pool(self, pool_id: str, material: bytes) -> KeyPool:
-        return self.add_pool(create_pool(pool_id, material))
-
     def pool(self, pool_id: str) -> KeyPool:
         try:
             return self._pools[pool_id]
@@ -554,6 +393,17 @@ class KeyStore:
 
     def pools(self) -> tuple[KeyPool, ...]:
         return tuple(self._pools.values())
+
+    def replay_ledger(self, entries: list[LedgerEntry]) -> None:
+        """Resume from an earlier run's ledger lines.
+
+        Every pool replays its reservations, and the entries and clock
+        carry on from the replayed history.
+        """
+        for pool in self._pools.values():
+            pool.replay_ledger(entries)
+        self._entries[:0] = entries
+        self._clock = max([self._clock, *(e.timestamp for e in entries)])
 
     def _record(
         self,
@@ -577,19 +427,6 @@ class KeyStore:
         if self._ledger_path:
             with open(self._ledger_path, "a") as fh:
                 fh.write(entry.format() + "\n")
-
-    def reserve(
-        self,
-        pool_id: str,
-        session: str,
-        bits: int,
-        purpose: str,
-        direction: Direction = Direction.WHOLE,
-    ) -> KeySlice:
-        pool = self.pool(pool_id)
-        key_slice = pool.reserve(session, bits, purpose, direction)
-        self._record(pool_id, session, key_slice, purpose, direction)
-        return key_slice
 
     def reserve_at(
         self,

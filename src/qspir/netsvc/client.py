@@ -5,7 +5,9 @@ announces the session with PROVISION, pads and sends the two query
 triples, decrypts the two masked answer bundles, and combines them into
 the requested record. If either data centre is unreachable or returns an
 ERROR frame, the retrieval aborts: pads already applied stay consumed
-forever, everything unsent is released back to its pool.
+forever, everything unsent is released back to its pool. A client over a
+store that replayed its ledger resumes after the highest session index the
+ledger names, so it never re-reserves an earlier session's slices.
 """
 
 from __future__ import annotations
@@ -64,7 +66,15 @@ class UserClient:
         self.dc1 = dc1
         self.dc2 = dc2
         self._rng = rng
-        self._next_index = 0
+        # Resume after every session the store's (replayed) ledger names.
+        self._next_index = 1 + max(
+            (
+                int(e.session.removeprefix("session-"))
+                for e in store.entries
+                if e.session.startswith("session-")
+            ),
+            default=-1,
+        )
 
     def _release_unused(self, session: str, slices: list[KeySlice]) -> None:
         for key_slice in slices:

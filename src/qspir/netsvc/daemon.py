@@ -95,16 +95,19 @@ class DataCentreDaemon:
             if not pool.slice_used(key_slice):
                 self.store.release(key_slice, name)
 
+    def _close(self, state: SessionState) -> None:
+        # Release only on the transition into CLOSED: a later frame on the
+        # same session must not return the slices a second time.
+        if state.phase is not Phase.CLOSED:
+            state.phase = Phase.CLOSED
+            self._release_unused(state)
+
     def _abort(
         self, state: SessionState | None, sid: bytes, reason: ErrorReason
     ) -> list[Frame]:
         if state is not None:
             state.aborted = True
-            # Release only on the transition into CLOSED: a later frame on
-            # the same session must not return the slices a second time.
-            if state.phase is not Phase.CLOSED:
-                state.phase = Phase.CLOSED
-                self._release_unused(state)
+            self._close(state)
         return [error_frame(sid, reason)]
 
     # -- frame dispatch ----------------------------------------------------
@@ -118,7 +121,7 @@ class DataCentreDaemon:
             if frame.msg_type is MsgType.CLOSE:
                 state = self.sessions.get(frame.session_id)
                 if state is not None:
-                    state.phase = Phase.CLOSED
+                    self._close(state)
                 return []
             return [error_frame(frame.session_id, ErrorReason.BAD_PHASE)]
 

@@ -1,15 +1,14 @@
 """Raw-key distillation: sifting, reconciliation accounting, amplification.
 
-The simulated link produces the two parties' sifted Z-basis signal strings
-(correlated at the model error rate), removes the parameter-estimation
-sample, accounts the reconciliation leak
+The simulated link sets the parameter-estimation sample aside, accounts
+the reconciliation leak
 
     leak_EC = ceil(f_EC * n_kept * h(QBER_Z)),
 
-corrects the peer string (reconciliation is modeled by an oracle and an
-equality check; the information cost is what matters here), evaluates the
-extractable length, and Toeplitz-hashes both sides to the final identical
-secret pair.
+evaluates the extractable length, and Toeplitz-hashes the kept string to
+the final identical secret pair. Reconciliation is modeled by an oracle
+that leaves both parties with the same kept bits; its information cost is
+what matters here, so only the n_kept bits that survive it are drawn.
 """
 
 from __future__ import annotations
@@ -81,29 +80,9 @@ def distill_session(
             n0_lower=n0, n1_lower=n1, e1_upper=e1, leak_ec=leak_ec, l=0
         )
 
-    rng = _np_rng(source.spawn("raw"))
-    alice = rng.integers(0, 2, n_sift, dtype=np.uint8)
-    bob = alice.copy()
-    n_err = int(round(qber * n_sift))
-    if n_err:
-        err_pos = rng.choice(n_sift, size=n_err, replace=False)
-        bob[err_pos] ^= 1
-
-    # Parameter-estimation sample: removed from key generation.
-    pe_pos = rng.choice(n_sift, size=n_pe, replace=False) if n_pe else []
-    keep_mask = np.ones(n_sift, dtype=bool)
-    keep_mask[pe_pos] = False
-    alice_kept = alice[keep_mask]
-    bob_kept = bob[keep_mask]
-
-    # Reconciliation: the oracle corrects the peer string at the accounted
-    # leak; both sides then verify equality (hash comparison stands in for
-    # the eps_cor-bounded check).
-    bob_kept = alice_kept.copy()
-    if not np.array_equal(alice_kept, bob_kept):
-        raise ValidationError("reconciliation failed verification")
-
-    kept_bytes = np.packbits(alice_kept, bitorder="little").tobytes()
+    # The bits both parties hold after reconciliation.
+    kept = _np_rng(source.spawn("raw")).integers(0, 2, n_kept, dtype=np.uint8)
+    kept_bytes = np.packbits(kept, bitorder="little").tobytes()
     seed_bits = n_kept + l - 1
     hash_seed = source.spawn("toeplitz").take_bits(seed_bits)
     final = toeplitz_hash(kept_bytes, n_kept, hash_seed, l)

@@ -348,7 +348,7 @@ def test_criterion_10_one_time_pad_discipline(demo_session):
 
     # (b) Fault injection: applying the same pad twice hard-fails.
     pool = KeyPool("fault-a", BitSource("fault-a").take_bytes(32))
-    used = pool.reserve("s1", 64, "pad")
+    used = pool.reserve_at("s1", 0, 64, "pad")
     pool.otp_apply(bytes(8), used)
     with pytest.raises(KeyReuseError):
         pool.otp_apply(bytes(8), used)

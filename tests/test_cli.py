@@ -18,12 +18,7 @@ from qspir.netsvc import (
     tcp_transport,
 )
 from qspir.rng import BitSource
-
-PARTY_LINKS = (
-    ("user", ("user-dc1", "user-dc2")),
-    ("dc1", ("user-dc1", "dc-pair")),
-    ("dc2", ("user-dc2", "dc-pair")),
-)
+from qspir.topology import PARTY_LINKS, install_pools, load_party_store
 
 
 def write_records(records_dir, sizes):
@@ -41,7 +36,7 @@ def write_records(records_dir, sizes):
     return manifest
 
 
-def install_pools(pool_dir, n, record_bits, sessions=4):
+def install_test_pools(pool_dir, n, record_bits, sessions=4):
     geom = SessionGeometry.for_database(n, record_bits)
     materials = {
         "user-dc1": BitSource("cli-m1").take_bytes(
@@ -54,13 +49,7 @@ def install_pools(pool_dir, n, record_bits, sessions=4):
             bytes_for_bits(sessions * geom.mask_slice_bits)
         ),
     }
-    for party, links in PARTY_LINKS:
-        party_dir = pool_dir / party
-        party_dir.mkdir(parents=True, exist_ok=True)
-        for link in links:
-            KeyPool(link, materials[link]).save(
-                str(party_dir / f"{link}.qkey")
-            )
+    install_pools(str(pool_dir), materials)
 
 
 @pytest.fixture
@@ -72,18 +61,15 @@ def served_database(tmp_path):
     assert main(
         ["ingest", "--manifest", str(manifest), "--out", str(db_path)]
     ) == 0
-    install_pools(tmp_path / "pools", len(sizes), 8 * max(sizes))
+    install_test_pools(tmp_path / "pools", len(sizes), 8 * max(sizes))
 
     cube = Database.load(str(db_path))
     servers = []
     for role in (1, 2):
-        store = KeyStore()
-        for link in (f"user-dc{role}", "dc-pair"):
-            store.add_pool(
-                KeyPool.load(str(tmp_path / "pools" / f"dc{role}" / f"{link}.qkey"))
-            )
+        party = f"dc{role}"
+        store = load_party_store(str(tmp_path / "pools"), party)
         daemon = DataCentreDaemon(
-            f"dc{role}", role, cube, store, f"user-dc{role}", "dc-pair"
+            party, role, cube, store, *PARTY_LINKS[party]
         )
         server = DaemonServer(("127.0.0.1", 0), daemon)
         server.serve_in_background()
@@ -185,7 +171,7 @@ def test_provision_reuse_keys_shares_material(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "warning: --reuse-keys shares one distilled key" in out
     materials = {}
-    for party, links in PARTY_LINKS:
+    for party, links in PARTY_LINKS.items():
         for link in links:
             pool = KeyPool.load(str(out_dir / party / f"{link}.qkey"))
             materials.setdefault(link, set()).add(pool.material_digest())
@@ -221,6 +207,25 @@ def test_get_retrieves_byte_exact_record(served_database, tmp_path, capsys):
     )
     assert code == 3
     assert "error code=3 kind=RangeError" in capsys.readouterr().err
+
+
+def test_second_get_on_the_same_ledger_resumes(served_database, tmp_path,
+                                               capsys):
+    env = served_database
+    ledger = tmp_path / "user-ledger.txt"
+    for index in (1, 4):
+        out = tmp_path / f"fetched-{index}.bin"
+        code = main(
+            ["--config", str(env["config"]), "get", "--index", str(index),
+             "--manifest", str(env["manifest"]), "--pool-dir",
+             str(env["tmp"] / "pools"), "--ledger", str(ledger),
+             "--out", str(out)]
+        )
+        assert code == 0, capsys.readouterr().err
+        original = (env["tmp"] / "records" / f"rec-{index:05d}.bin")
+        assert out.read_bytes() == original.read_bytes()
+    sessions = {e.session for e in KeyStore.read_ledger(str(ledger))}
+    assert sessions == {"session-0", "session-1"}
 
 
 def test_get_padding_slot_warns_and_writes_empty(served_database, tmp_path,
@@ -275,7 +280,7 @@ def test_serve_dc_subprocess_serves_tcp(tmp_path):
     assert main(
         ["ingest", "--manifest", str(manifest), "--out", str(db_path)]
     ) == 0
-    install_pools(tmp_path / "pools", 3, 16)
+    install_test_pools(tmp_path / "pools", 3, 16)
     config = tmp_path / "net.cfg"
     config.write_text("[net]\ndc1 = 127.0.0.1:0\n")
 

@@ -40,6 +40,7 @@ from qspir.netsvc import (
 from qspir.netsvc.tcp import read_frame
 from qspir.protocol import encode_query, gen_queries, sample_user_randomness
 from qspir.rng import BitSource
+from qspir.topology import PARTY_LINKS, install_pools, load_party_store
 
 
 def build_rig(
@@ -49,11 +50,14 @@ def build_rig(
     pair_sessions=None,
     user2_sessions=None,
     audit_path=None,
+    pool_dir=None,
 ):
     """A user, two data-centre daemons, and a monitored in-process network.
 
     All three pools hold deterministic material sized for the given number
-    of sessions; each party loads its own copy of the shared bytes.
+    of sessions; each party loads its own copy of the shared bytes. With
+    ``pool_dir`` the pools are installed there and each party is loaded
+    from its files with the ledger ``<pool_dir>/<party>.ledger``.
     """
     pair_sessions = sessions if pair_sessions is None else pair_sessions
     user2_sessions = sessions if user2_sessions is None else user2_sessions
@@ -76,16 +80,18 @@ def build_rig(
             bytes_for_bits(max(pair_sessions * geom.mask_slice_bits, 8))
         ),
     }
+    if pool_dir is not None:
+        install_pools(str(pool_dir), materials)
     stores = {}
-    for party, links in (
-        ("user", ("user-dc1", "user-dc2")),
-        ("dc1", ("user-dc1", "dc-pair")),
-        ("dc2", ("user-dc2", "dc-pair")),
-    ):
-        store = KeyStore()
-        for link in links:
-            store.add_pool(KeyPool(link, materials[link]))
-        stores[party] = store
+    for party, links in PARTY_LINKS.items():
+        if pool_dir is not None:
+            stores[party] = load_party_store(
+                str(pool_dir), party, str(pool_dir / f"{party}.ledger")
+            )
+        else:
+            stores[party] = KeyStore()
+            for link in links:
+                stores[party].add_pool(KeyPool(link, materials[link]))
 
     monitor = LinkMonitor(dc_names={"dc1", "dc2"}, audit_path=audit_path)
     network = InProcessNetwork(monitor)
@@ -375,6 +381,85 @@ def test_frames_after_abort_get_bad_phase_without_second_release():
     assert len(rig.stores["dc1"].entries) == ledger_lines
     for pool_id in ("user-dc1", "dc-pair"):
         assert rig.stores["dc1"].pool(pool_id).report().reserved_bits == 0
+
+
+def test_close_in_init_releases_once():
+    rig = build_rig(sessions=2)
+    sid = _provisioned(rig, "close-in-init")
+    store = rig.stores["dc1"]
+    assert store.pool("user-dc1").report().reserved_bits > 0
+    assert rig.dc1.handle_frame(Frame(MsgType.CLOSE, sid), "user") == []
+    assert rig.dc1.sessions[sid].phase.value == "closed"
+    for pool_id in ("user-dc1", "dc-pair"):
+        assert store.pool(pool_id).report().reserved_bits == 0
+    releases = [e for e in store.entries if e.purpose.startswith("release:")]
+    assert len(releases) == 3
+    ledger_lines = len(store.entries)
+    assert rig.dc1.handle_frame(Frame(MsgType.CLOSE, sid), "user") == []
+    assert len(store.entries) == ledger_lines  # nothing released twice
+    store.audit_no_reuse()
+
+
+# -- restarts ----------------------------------------------------------------
+
+
+def test_restarted_daemon_refuses_an_index_it_already_served(tmp_path):
+    rig = build_rig(sessions=2, pool_dir=tmp_path)
+    first = rig.client.retrieve(3)
+    assert first.index == 0
+    # Rebuild dc1 over the same pool files and ledger, as serve-dc does.
+    store = load_party_store(
+        str(tmp_path), "dc1", str(tmp_path / "dc1.ledger")
+    )
+    dc1 = DataCentreDaemon("dc1", 1, rig.cube, store, *PARTY_LINKS["dc1"])
+    geom = rig.geometry
+    sid = new_session_id(0, BitSource("replayed"))
+    replies = dc1.handle_frame(
+        Frame(
+            MsgType.PROVISION, sid,
+            encode_provision(geom.n, geom.record_bits, 0),
+        ),
+        "user",
+    )
+    assert [error_reason(f) for f in replies] == [
+        ErrorReason.BUDGET_EXHAUSTED
+    ]
+    ledger = KeyStore.read_ledger(str(tmp_path / "dc1.ledger"))
+    session_0 = [e for e in ledger if e.session == "session-0"]
+    assert [e.purpose for e in session_0] == [
+        "query-otp", "answer-otp", "mask-set"
+    ]
+    assert [e.timestamp for e in ledger] == [1, 2, 3]
+    # The next index is still served by the restarted daemon.
+    replies = dc1.handle_frame(
+        Frame(
+            MsgType.PROVISION, new_session_id(1, BitSource("next")),
+            encode_provision(geom.n, geom.record_bits, 1),
+        ),
+        "user",
+    )
+    assert [f.msg_type for f in replies] == [MsgType.PROVISION]
+    assert [e.timestamp for e in store.entries][3:] == [4, 5, 6]
+
+
+def test_client_over_a_replayed_store_resumes_after_its_last_index(tmp_path):
+    rig = build_rig(sessions=3, pool_dir=tmp_path)
+    assert rig.client.retrieve(5).index == 0
+    store = load_party_store(
+        str(tmp_path), "user", str(tmp_path / "user.ledger")
+    )
+    client = UserClient(
+        store, rig.geometry, rig.client.dc1, rig.client.dc2,
+        rng=BitSource("second-client"),
+    )
+    result = client.retrieve(4)
+    assert result.index == 1
+    assert result.value == rig.entries[4]
+    for party in PARTY_LINKS:
+        replayed = load_party_store(
+            str(tmp_path), party, str(tmp_path / f"{party}.ledger")
+        )
+        replayed.audit_no_reuse()
 
 
 def test_provision_parameter_validation():
