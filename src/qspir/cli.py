@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import signal
 import sys
 
 from .config import AppConfig, flag_path, parse_config
@@ -183,6 +184,8 @@ def cmd_serve_dc(args: argparse.Namespace) -> int:
     )
     host, port = config.endpoint(party)
     server = DaemonServer((host, port), daemon)
+    # SIGTERM stops the daemon the same way Ctrl-C (SIGINT) does.
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
     print(
         f"{party} serving n={cube.n}, record field {cube.record_bits} bits "
         f"on {server.server_address[0]}:{server.server_address[1]}"
@@ -192,6 +195,7 @@ def cmd_serve_dc(args: argparse.Namespace) -> int:
         server.serve_forever()
     except KeyboardInterrupt:
         pass
+    server.server_close()
     return EXIT_OK
 
 

@@ -1,20 +1,23 @@
-"""Cube layout of a database and subcube XOR primitives.
+"""Cube layout of a database: coordinates, snapshots and manifests.
 
 ``n`` entries of at most ``L`` bits each are arranged in an ``m x m x m``
 cube with ``m = ceil(n^(1/3))``; unused cells hold zeros.  Entry ``x`` lives
-at coordinates ``(i, j, k)`` with ``x = i*m^2 + j*m + k``.  All heavy lifting
-is byte-wise XOR over a ``(m, m, m, ceil(L/8))`` uint8 array.
+at coordinates ``(i, j, k)`` with ``x = i*m^2 + j*m + k``.  Cells are a
+``(m, m, m, ceil(L/8))`` uint8 array; the answer pass over them lives in
+:func:`qspir.protocol.compute_answer_bundle`.
 """
 
 from __future__ import annotations
 
 import os
 import struct
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bitops import bytes_for_bits, mask_to_positions, pad_value
+from .bitops import bytes_for_bits, pad_value
 from .errors import RangeError, StorageError, ValidationError
 
 SNAPSHOT_MAGIC = b"QCUB"
@@ -59,12 +62,20 @@ class Database:
         record_bits: entry width L in bits.
         m: cube side.
         cells: uint8 array of shape ``(m, m, m, ceil(L/8))``.
+
+    Each cube also owns two ``(m, m, ceil(L/8))`` scratch planes for the
+    answer pass, allocated once and lent out by :meth:`workspace`.
     """
 
     n: int
     record_bits: int
     m: int
     cells: np.ndarray
+
+    def __post_init__(self):
+        self._lock = threading.Lock()
+        shape = (self.m, self.m, self.record_bytes)
+        self._planes = (np.empty(shape, np.uint8), np.empty(shape, np.uint8))
 
     @property
     def record_bytes(self) -> int:
@@ -88,41 +99,15 @@ class Database:
             raise RangeError(f"index {x} outside database of {self.n} entries")
         return self.cells[index_to_coords(x, self.m)].tobytes()
 
-    def subcube_xor(self, mask1: int, mask2: int, mask3: int) -> bytes:
-        """XOR of all cells in the product of three membership masks."""
-        sel = [mask_to_positions(mk, self.m) for mk in (mask1, mask2, mask3)]
-        sub = self.cells[np.ix_(*sel)]
-        return (
-            np.bitwise_xor.reduce(
-                sub.reshape(-1, self.record_bytes), axis=0, initial=np.uint8(0)
-            )
-            .astype(np.uint8)
-            .tobytes()
-        )
+    @contextmanager
+    def workspace(self):
+        """Hold this cube's lock and lend out its two scratch planes.
 
-    def axis_slabs(self, axis: int, mask_a: int, mask_b: int) -> np.ndarray:
-        """Per-position slab XORs along ``axis``.
-
-        Row ``p`` of the result is the XOR of all cells whose ``axis``
-        coordinate is ``p`` and whose other two coordinates range over the
-        two masks (given in ascending axis order).  Shape ``(m, ceil(L/8))``.
+        Daemons sharing one cube answer from several threads; the lock
+        keeps them from writing the same planes at once.
         """
-        if axis not in (0, 1, 2):
-            raise RangeError(f"axis must be 0..2, got {axis}")
-        sels: list[list[int]] = []
-        others = iter((mask_a, mask_b))
-        for ax in range(3):
-            if ax == axis:
-                sels.append(list(range(self.m)))
-            else:
-                sels.append(mask_to_positions(next(others), self.m))
-        sub = self.cells[np.ix_(*sels)]
-        sub = np.moveaxis(sub, axis, 0)
-        return np.bitwise_xor.reduce(
-            sub.reshape(self.m, -1, self.record_bytes),
-            axis=1,
-            initial=np.uint8(0),
-        ).astype(np.uint8)
+        with self._lock:
+            yield self._planes
 
     def save(self, path) -> None:
         """Write the snapshot format: magic, version, (n, L, m), raw cells."""

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitops import bytes_for_bits, xor_bytes
+import numpy as np
+
+from .bitops import bytes_for_bits, mask_to_positions, xor_bytes
 from .cube import Database, index_to_coords
 from .errors import RangeError, ValidationError
 from .rng import BitSource
@@ -104,21 +106,50 @@ def gen_queries(
     return q1, q2
 
 
+def _xor_planes(out: np.ndarray, planes) -> None:
+    """Overwrite ``out`` with the XOR of ``planes`` (zeros if none)."""
+    out.fill(0)
+    for plane in planes:
+        np.bitwise_xor(out, plane, out=out)
+
+
 def compute_answer_bundle(cube: Database, query: QueryTriple) -> AnswerBundle:
-    """All ``1 + 3m`` subcube XOR components for one received query."""
+    """All ``1 + 3m`` subcube XOR components for one received query.
+
+    With S1, S2, S3 the positions set in the three membership vectors, one
+    pass over the cube forms two partial sums in the cube's scratch planes:
+
+    * ``T[j,k] = XOR_{i in S1} cell[i,j,k]`` from the |S1| contiguous
+      i-planes, and
+    * ``U[i,k] = XOR_{j in S2} cell[i,j,k]`` from the |S2| j-slices.
+
+    For uniform vectors each pass reads half the cube, so together about
+    one read of the cube and no copies of it.  Every toggle sum follows
+    from them in O(m^2) more work: ``X0[i] = XOR_{k in S3} U[i,k]``,
+    ``X1[j] = XOR_{k in S3} T[j,k]``, ``X2[k] = XOR_{j in S2} T[j,k]``;
+    then ``a0 = XOR_{i in S1} X0[i]`` and ``flips[d][p] = a0 ^ X_d[p]``.
+    An empty set contributes zeros.  The planes are shared by every caller
+    of the cube, so they are filled and read under its workspace lock.
+    """
     if query.m != cube.m:
         raise ValidationError(
             f"query sized for m={query.m}, cube has m={cube.m}"
         )
-    a0 = cube.subcube_xor(*query.vectors)
-    flips = []
-    for d in range(3):
-        others = [query.vectors[ax] for ax in range(3) if ax != d]
-        slabs = cube.axis_slabs(d, *others)
-        flips.append(
-            tuple(xor_bytes(a0, slabs[p].tobytes()) for p in range(cube.m))
-        )
-    return AnswerBundle(a0=a0, flips=tuple(flips))
+    m, cells = cube.m, cube.cells
+    s1, s2, s3 = (mask_to_positions(v, m) for v in query.vectors)
+    sums = np.empty((3, m, cube.record_bytes), np.uint8)
+    with cube.workspace() as (t, u):
+        _xor_planes(t, (cells[i] for i in s1))
+        _xor_planes(u, (cells[:, j] for j in s2))
+        _xor_planes(sums[0], (u[:, k] for k in s3))
+        _xor_planes(sums[1], (t[:, k] for k in s3))
+        _xor_planes(sums[2], (t[j] for j in s2))
+    a0 = np.bitwise_xor.reduce(sums[0][s1], axis=0)
+    np.bitwise_xor(sums, a0, out=sums)
+    return AnswerBundle(
+        a0=a0.tobytes(),
+        flips=tuple(tuple(row.tobytes() for row in dim) for dim in sums),
+    )
 
 
 def reconstruct_plain(

@@ -13,8 +13,10 @@ Two evaluation paths compute identical bits:
 * ``naive`` — sliding big-integer window with popcount parity; the direct
   matrix-vector form, O(n * out_len / wordsize).
 * ``fft`` — the outputs are cross-correlations of the seed with the input
-  at lags 0..out_len-1, evaluated as one real-FFT convolution with exact
-  integer rounding (coefficients are bounded by n, far below 2^53).
+  at lags 0..out_len-1, evaluated as one circular real-FFT correlation of
+  size ``next_fast_len(n + out_len - 1)`` (the seed length, about half the
+  full linear convolution) with exact integer rounding (coefficients are
+  bounded by n, far below 2^53).
 
 Inputs and outputs are packed bytes, little-endian bit order.
 """
@@ -85,12 +87,13 @@ def _fft(data: bytes, n_bits: int, seed: bytes, out_len: int) -> bytes:
     seed_bits_n = n_bits + out_len - 1
     x = _bits_to_array(data, n_bits).astype(np.float64)
     s = _bits_to_array(seed, seed_bits_n).astype(np.float64)
-    # Correlation at all lags via convolution with the reversed input:
-    # conv(s, rev x)[t] = sum_j s[t-n+1+j] x[j]; lag d = t-n+1.
-    size = next_fast_len(seed_bits_n + n_bits - 1)
-    conv = irfft(rfft(s, size) * rfft(x[::-1], size), size)
-    counts = np.rint(conv[n_bits - 1 : n_bits - 1 + out_len]).astype(np.int64)
-    # counts[k] = correlation at lag k = out[out_len-1-k]  =>  reverse.
+    # Circular cross-correlation: corr[d] = sum_j s[(j+d) mod size] x[j].
+    # Only lags d < out_len are read, and j + d <= seed_bits_n - 1 < size,
+    # so no term wraps around.
+    size = next_fast_len(seed_bits_n, real=True)
+    corr = irfft(rfft(s, size) * np.conj(rfft(x, size)), size)
+    counts = np.rint(corr[:out_len]).astype(np.int64)
+    # counts[d] = correlation at lag d = out[out_len-1-d]  =>  reverse.
     bits = (counts & 1).astype(np.uint8)[::-1]
     packed = np.packbits(bits, bitorder="little").tobytes()
     return packed.ljust(bytes_for_bits(out_len), b"\x00")

@@ -303,3 +303,4 @@ def test_serve_dc_subprocess_serves_tcp(tmp_path):
     finally:
         proc.terminate()
         proc.wait(timeout=10)
+    assert proc.returncode == 0

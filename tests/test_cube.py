@@ -3,7 +3,7 @@ import random
 import pytest
 
 from oracles import brute_subcube_xor
-from qspir.bitops import bytes_for_bits
+from qspir.bitops import bytes_for_bits, xor_bytes
 from qspir.cube import (
     Database,
     coords_to_index,
@@ -12,6 +12,7 @@ from qspir.cube import (
     load_manifest,
 )
 from qspir.errors import RangeError, StorageError, ValidationError
+from qspir.protocol import QueryTriple, compute_answer_bundle
 
 
 def test_cube_dims_exact_cover():
@@ -47,6 +48,10 @@ def _random_database(rng, n, record_bits):
     return entries, Database.from_entries(entries, record_bits)
 
 
+def _bundle(db, masks):
+    return compute_answer_bundle(db, QueryTriple(*masks, m=db.m))
+
+
 def test_entry_returns_padded_value():
     rng = random.Random(11)
     entries, db = _random_database(rng, 6, 12)
@@ -68,44 +73,40 @@ def test_subcube_xor_matches_brute_force():
             expect = brute_subcube_xor(
                 padded, m, db.record_bytes, *masks
             )
-            assert db.subcube_xor(*masks) == expect
-        assert db.subcube_xor(0, (1 << m) - 1, 1) == bytes(db.record_bytes)
+            assert _bundle(db, masks).a0 == expect
+        assert _bundle(db, (0, (1 << m) - 1, 1)).a0 == bytes(db.record_bytes)
 
 
 def test_axis_slabs_match_brute_force():
+    """a0 ^ flips[d][p] is the slab at position p of axis d."""
     rng = random.Random(13)
     entries, db = _random_database(rng, 27, 9)
     m = db.m
     padded = entries + [bytes(db.record_bytes)] * (m**3 - 27)
     for axis in range(3):
-        mask_a, mask_b = rng.getrandbits(m), rng.getrandbits(m)
-        slabs = db.axis_slabs(axis, mask_a, mask_b)
-        assert slabs.shape == (m, db.record_bytes)
+        masks = [rng.getrandbits(m) for _ in range(3)]
+        bundle = _bundle(db, masks)
         for p in range(m):
-            full = [mask_a, mask_b]
-            full.insert(axis, 1 << p)
+            full = list(masks)
+            full[axis] = 1 << p
             expect = brute_subcube_xor(padded, m, db.record_bytes, *full)
-            assert slabs[p].tobytes() == expect
-    with pytest.raises(RangeError):
-        db.axis_slabs(3, 0, 0)
+            assert xor_bytes(bundle.a0, bundle.flips[axis][p]) == expect
+    with pytest.raises(ValidationError):
+        compute_answer_bundle(db, QueryTriple(0, 0, 0, m=m + 1))
 
 
 def test_slab_toggle_identity():
-    """a0 xor slab[p] equals the subcube XOR with bit p toggled."""
+    """flips[d][p] is the a0 of the query toggled at position p of d."""
     rng = random.Random(14)
-    entries, db = _random_database(rng, 27, 16)
+    _, db = _random_database(rng, 27, 16)
     m = db.m
     q = [rng.getrandbits(m) for _ in range(3)]
-    a0 = int.from_bytes(db.subcube_xor(*q), "little")
+    bundle = _bundle(db, q)
     for d in range(3):
-        others = [q[ax] for ax in range(3) if ax != d]
-        slabs = db.axis_slabs(d, *others)
         for p in range(m):
             toggled = list(q)
             toggled[d] ^= 1 << p
-            expect = int.from_bytes(db.subcube_xor(*toggled), "little")
-            got = a0 ^ int.from_bytes(slabs[p].tobytes(), "little")
-            assert got == expect
+            assert bundle.flips[d][p] == _bundle(db, toggled).a0
 
 
 def test_snapshot_roundtrip(tmp_path):

@@ -1,7 +1,11 @@
 import random
+import threading
+import tracemalloc
 
+import numpy as np
 import pytest
 
+from oracles import brute_subcube_xor
 from qspir.bitops import bytes_for_bits
 from qspir.cube import Database, cube_dims, index_to_coords
 from qspir.errors import RangeError, ValidationError
@@ -72,17 +76,73 @@ def test_sample_user_randomness_uses_3m_bits():
 
 def test_bundle_components_are_subcube_xors():
     rng = random.Random(22)
-    db = _database(rng, 27, 12)
-    m = db.m
-    q = QueryTriple(*(rng.getrandbits(m) for _ in range(3)), m=m)
-    bundle = compute_answer_bundle(db, q)
-    assert bundle.a0 == db.subcube_xor(*q.vectors)
-    assert bundle.m == m
-    for d in range(3):
-        for p in range(m):
-            toggled = list(q.vectors)
-            toggled[d] ^= 1 << p
-            assert bundle.flips[d][p] == db.subcube_xor(*toggled)
+    for m in (1, 2, 3, 4):
+        for record_bits in (1, 5, 8, 17):
+            n = rng.randrange((m - 1) ** 3 + 1, m**3 + 1)
+            db = _database(rng, n, record_bits)
+            assert db.m == m
+            padded = [db.entry(x) for x in range(n)]
+            padded += [bytes(db.record_bytes)] * (m**3 - n)
+            full = (1 << m) - 1
+            masks = [(0, 0, 0), (full, full, full)]
+            masks += [
+                tuple(rng.getrandbits(m) for _ in range(3)) for _ in range(3)
+            ]
+            for vectors in masks:
+                bundle = compute_answer_bundle(db, QueryTriple(*vectors, m=m))
+                assert bundle.m == m
+                assert bundle.a0 == brute_subcube_xor(
+                    padded, m, db.record_bytes, *vectors
+                )
+                for d in range(3):
+                    for p in range(m):
+                        toggled = list(vectors)
+                        toggled[d] ^= 1 << p
+                        assert bundle.flips[d][p] == brute_subcube_xor(
+                            padded, m, db.record_bytes, *toggled
+                        )
+
+
+def _random_cube(seed, m, record_bytes):
+    cells = np.random.default_rng(seed).integers(
+        0, 256, size=(m, m, m, record_bytes), dtype=np.uint8
+    )
+    return Database(n=m**3, record_bits=8 * record_bytes, m=m, cells=cells)
+
+
+def test_threads_sharing_a_cube_get_single_thread_bundles():
+    db = _random_cube(26, 24, 96)
+    rng = random.Random(26)
+    queries = [
+        QueryTriple(*(rng.getrandbits(db.m) for _ in range(3)), m=db.m)
+        for _ in range(100)
+    ]
+    expect = [compute_answer_bundle(db, q) for q in queries]
+    got = [None] * len(queries)
+
+    def answer(part):
+        for i in range(part, len(queries), 2):
+            got[i] = compute_answer_bundle(db, queries[i])
+
+    threads = [threading.Thread(target=answer, args=(p,)) for p in (0, 1)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert got == expect
+
+
+def test_answer_allocates_less_than_one_cube_plane():
+    db = _random_cube(27, 20, 64)
+    q = QueryTriple(0x5A5A5, 0xFFFFF, 0x12345, m=db.m)
+    compute_answer_bundle(db, q)
+    tracemalloc.start()
+    try:
+        compute_answer_bundle(db, q)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < db.m**2 * db.record_bytes
 
 
 def test_reconstruction_yields_requested_entry():

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from scipy.fft import next_fast_len
 
 from oracles import toeplitz_matrix_oracle
 from qspir.bitops import bytes_for_bits, xor_bytes
@@ -33,6 +34,18 @@ def test_fft_equals_naive_on_larger_inputs():
         naive = toeplitz_hash(data, n_bits, seed, out_len, "naive")
         fft = toeplitz_hash(data, n_bits, seed, out_len, "fft")
         assert naive == fft
+
+
+def test_fft_exact_when_seed_length_is_a_fast_length():
+    # n_bits + out_len - 1 = 4096 is already a fast FFT length, so the
+    # circular correlation has no zero padding to absorb a wrap-around.
+    assert next_fast_len(4096, real=True) == 4096
+    rng = random.Random(65)
+    for n_bits, out_len in ((4096, 1), (3000, 1097), (2048, 2049)):
+        data = rng.randbytes(bytes_for_bits(n_bits))
+        seed = rng.randbytes(bytes_for_bits(n_bits + out_len - 1))
+        naive = toeplitz_hash(data, n_bits, seed, out_len, "naive")
+        assert toeplitz_hash(data, n_bits, seed, out_len, "fft") == naive
 
 
 def test_auto_switches_at_threshold(monkeypatch):
