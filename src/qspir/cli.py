@@ -184,18 +184,27 @@ def cmd_serve_dc(args: argparse.Namespace) -> int:
     )
     host, port = config.endpoint(party)
     server = DaemonServer((host, port), daemon)
-    # SIGTERM stops the daemon the same way Ctrl-C (SIGINT) does.
-    signal.signal(signal.SIGTERM, signal.default_int_handler)
-    print(
-        f"{party} serving n={cube.n}, record field {cube.record_bits} bits "
-        f"on {server.server_address[0]}:{server.server_address[1]}"
-    )
-    sys.stdout.flush()
+    # SIGINT and SIGTERM both stop the daemon, also when it was started with
+    # SIGINT ignored, as a non-interactive shell starts a background job.
+    previous = {
+        sig: signal.signal(sig, signal.default_int_handler)
+        for sig in (signal.SIGINT, signal.SIGTERM)
+    }
+    # A parent may signal as soon as it reads the port line, so the line is
+    # printed inside the try and the socket is closed on every way out.
     try:
+        print(
+            f"{party} serving n={cube.n}, record field {cube.record_bits} "
+            f"bits on {server.server_address[0]}:{server.server_address[1]}"
+        )
+        sys.stdout.flush()
         server.serve_forever()
     except KeyboardInterrupt:
         pass
-    server.server_close()
+    finally:
+        server.server_close()
+        for sig, handler in previous.items():
+            signal.signal(sig, handler)
     return EXIT_OK
 
 

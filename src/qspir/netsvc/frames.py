@@ -66,14 +66,14 @@ def encode_frame(frame: Frame) -> bytes:
     return header + frame.payload
 
 
-def decode_frame(data: bytes) -> Frame:
-    """Decode one complete frame; trailing bytes are a framing error."""
-    if len(data) < HEADER_LEN:
-        raise FramingError(
-            f"truncated frame header: {len(data)} of {HEADER_LEN} bytes"
-        )
+def decode_header(header: bytes) -> tuple[MsgType, bytes, int]:
+    """Check a ``HEADER_LEN``-byte header; (type, session id, payload length).
+
+    Every field but the length is checked here, so a stream reader can
+    refuse a bad frame before it reads the payload the header claims.
+    """
     magic, version, msg_type, session_id, payload_len = struct.unpack(
-        _HEADER, data[:HEADER_LEN]
+        _HEADER, header
     )
     if magic != MAGIC:
         raise FramingError(f"bad magic {magic!r}")
@@ -83,6 +83,16 @@ def decode_frame(data: bytes) -> Frame:
         kind = MsgType(msg_type)
     except ValueError:
         raise FramingError(f"unknown message type {msg_type:#x}") from None
+    return kind, session_id, payload_len
+
+
+def decode_frame(data: bytes) -> Frame:
+    """Decode one complete frame; trailing bytes are a framing error."""
+    if len(data) < HEADER_LEN:
+        raise FramingError(
+            f"truncated frame header: {len(data)} of {HEADER_LEN} bytes"
+        )
+    kind, session_id, payload_len = decode_header(data[:HEADER_LEN])
     if len(data) != HEADER_LEN + payload_len:
         raise FramingError(
             f"payload length {payload_len} does not match "

@@ -13,33 +13,44 @@ import threading
 
 from ..errors import FramingError
 from .daemon import DataCentreDaemon
-from .frames import HEADER_LEN, Frame, decode_frame, encode_frame
+from .frames import HEADER_LEN, Frame, decode_header, encode_frame
+
+
+_RECV_CHUNK = 1 << 16  # bytes asked of one recv call
 
 
 def _recv_exact(sock: socket.socket, count: int) -> bytes | None:
-    buf = b""
+    """Read ``count`` bytes; fewer only at EOF, None if EOF came first.
+
+    The buffer grows with the bytes that arrive, not with ``count``, so a
+    peer that claims a huge length costs only what it actually sends.
+    """
+    buf = bytearray()
     while len(buf) < count:
-        chunk = sock.recv(count - len(buf))
+        chunk = sock.recv(min(count - len(buf), _RECV_CHUNK))
         if not chunk:
-            return None if not buf else buf
+            return bytes(buf) if buf else None
         buf += chunk
-    return buf
+    return bytes(buf)
 
 
 def read_frame(sock: socket.socket) -> Frame | None:
-    """Read one frame off a stream; None on clean EOF."""
+    """Read one frame off a stream; None on clean EOF.
+
+    The header is checked before any payload is read.
+    """
     header = _recv_exact(sock, HEADER_LEN)
     if header is None:
         return None
     if len(header) < HEADER_LEN:
         raise FramingError("connection closed mid-header")
-    payload_len = int.from_bytes(header[HEADER_LEN - 4:], "big")
+    kind, session_id, payload_len = decode_header(header)
     payload = b""
     if payload_len:
         payload = _recv_exact(sock, payload_len)
         if payload is None or len(payload) < payload_len:
             raise FramingError("connection closed mid-payload")
-    return decode_frame(header + payload)
+    return Frame(msg_type=kind, session_id=session_id, payload=payload)
 
 
 class DaemonServer(socketserver.ThreadingTCPServer):
@@ -60,7 +71,10 @@ class DaemonServer(socketserver.ThreadingTCPServer):
 
 class _DaemonHandler(socketserver.BaseRequestHandler):
     def handle(self):
-        frame = read_frame(self.request)
+        try:
+            frame = read_frame(self.request)
+        except FramingError:
+            return  # a malformed frame gets no reply; the connection closes
         if frame is None:
             return
         replies = self.server.dc_daemon.handle_frame(frame, "user")

@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import i0
 
 from ..errors import RangeError, ValidationError
 from ..rng import BitSource
@@ -158,6 +157,9 @@ def z_gain_error(
     mu_a: float, mu_b: float, eta_a: float, eta_b: float, pd: float, ed: float
 ) -> tuple[float, float]:
     """Z-basis per-gate (coincidence probability, error probability)."""
+    # Local import keeps SciPy off the retrieval path, which never calls this.
+    from scipy.special import i0
+
     sa = eta_a * mu_a
     sb = eta_b * mu_b
     sp = sa + sb

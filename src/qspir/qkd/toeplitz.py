@@ -24,7 +24,6 @@ Inputs and outputs are packed bytes, little-endian bit order.
 from __future__ import annotations
 
 import numpy as np
-from scipy.fft import next_fast_len, rfft, irfft
 
 from ..bitops import bytes_for_bits
 from ..errors import ValidationError
@@ -84,6 +83,9 @@ def _bits_to_array(buf: bytes, nbits: int) -> np.ndarray:
 
 
 def _fft(data: bytes, n_bits: int, seed: bytes, out_len: int) -> bytes:
+    # Local import keeps SciPy off the retrieval path, which never calls this.
+    from scipy.fft import irfft, next_fast_len, rfft
+
     seed_bits_n = n_bits + out_len - 1
     x = _bits_to_array(data, n_bits).astype(np.float64)
     s = _bits_to_array(seed, seed_bits_n).astype(np.float64)

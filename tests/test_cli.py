@@ -1,4 +1,6 @@
 import select
+import signal
+import socket
 import subprocess
 import sys
 
@@ -274,7 +276,8 @@ def test_sweep_writes_both_curves(tmp_path, capsys):
         assert f"# threshold,dc_dc_budget_bits,{budgets.dc_dc_bits}" in lines
 
 
-def test_serve_dc_subprocess_serves_tcp(tmp_path):
+def _serve_dc_args(tmp_path):
+    """``qspir`` arguments serving a 3-record cube as dc1 on a free port."""
     manifest = write_records(tmp_path / "records", [2, 1, 2])
     db_path = tmp_path / "database.qcub"
     assert main(
@@ -283,24 +286,93 @@ def test_serve_dc_subprocess_serves_tcp(tmp_path):
     install_test_pools(tmp_path / "pools", 3, 16)
     config = tmp_path / "net.cfg"
     config.write_text("[net]\ndc1 = 127.0.0.1:0\n")
+    return ["--config", str(config), "serve-dc", "--role", "1",
+            "--database", str(db_path), "--pool-dir", str(tmp_path / "pools")]
 
+
+def _start_serve_dc(tmp_path, **popen_kwargs):
+    """A ``serve-dc`` subprocess and the port it announced."""
     proc = subprocess.Popen(
-        [sys.executable, "-m", "qspir.cli", "--config", str(config),
-         "serve-dc", "--role", "1", "--database", str(db_path),
-         "--pool-dir", str(tmp_path / "pools")],
+        [sys.executable, "-m", "qspir.cli", *_serve_dc_args(tmp_path)],
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
+        **popen_kwargs,
     )
     try:
         ready, _, _ = select.select([proc.stdout], [], [], 30)
         assert ready, "daemon never announced itself"
         line = proc.stdout.readline()
         assert line.startswith("dc1 serving n=3, record field 16 bits on ")
-        port = int(line.rsplit(":", 1)[1])
+    except BaseException:
+        proc.kill()
+        proc.wait()
+        raise
+    return proc, int(line.rsplit(":", 1)[1])
+
+
+def test_serve_dc_subprocess_serves_tcp(tmp_path):
+    proc, port = _start_serve_dc(tmp_path)
+    try:
         transport = tcp_transport("127.0.0.1", port)
         assert transport(Frame(MsgType.CLOSE, bytes(16))) == []
     finally:
         proc.terminate()
         proc.wait(timeout=10)
     assert proc.returncode == 0
+
+
+def test_serve_dc_started_with_sigint_ignored_still_stops_on_sigint(
+    tmp_path,
+):
+    # A non-interactive shell starts background jobs with SIGINT ignored.
+    proc, _ = _start_serve_dc(
+        tmp_path,
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_IGN),
+    )
+    proc.send_signal(signal.SIGINT)
+    try:
+        proc.wait(timeout=10)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        proc.wait()
+        pytest.fail("serve-dc ignored SIGINT")
+    assert proc.returncode == 0
+
+
+class _InterruptOnFlush:
+    """A stdout whose flush is interrupted, as by a signal from a parent
+    that has just read the port line."""
+
+    def __init__(self):
+        self.text = ""
+
+    def write(self, text):
+        self.text += text
+        return len(text)
+
+    def flush(self):
+        raise KeyboardInterrupt
+
+
+def test_serve_dc_interrupted_while_announcing_exits_cleanly(
+    tmp_path, monkeypatch
+):
+    args = _serve_dc_args(tmp_path)
+    handlers = [signal.getsignal(s) for s in (signal.SIGINT, signal.SIGTERM)]
+    stdout = _InterruptOnFlush()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    try:
+        code = main(args)
+    except KeyboardInterrupt:
+        pytest.fail("KeyboardInterrupt escaped serve-dc")
+    monkeypatch.undo()
+
+    assert code == 0
+    assert stdout.text.startswith("dc1 serving n=3, record field 16 bits on ")
+    port = int(stdout.text.rsplit(":", 1)[1])
+    with pytest.raises(ConnectionRefusedError):
+        socket.create_connection(("127.0.0.1", port), timeout=5).close()
+    assert handlers == [
+        signal.getsignal(s) for s in (signal.SIGINT, signal.SIGTERM)
+    ]

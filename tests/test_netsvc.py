@@ -1,5 +1,7 @@
 import socket
 import struct
+import threading
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
@@ -603,6 +605,22 @@ def test_garbled_query_still_completes():
 # -- TCP transport -----------------------------------------------------------
 
 
+def _tcp_client(rig, servers):
+    return UserClient(
+        rig.stores["user"],
+        rig.geometry,
+        DataCentreLink(
+            "dc1", "user-dc1",
+            tcp_transport("127.0.0.1", servers[0].server_address[1]),
+        ),
+        DataCentreLink(
+            "dc2", "user-dc2",
+            tcp_transport("127.0.0.1", servers[1].server_address[1]),
+        ),
+        rng=BitSource("tcp-client"),
+    )
+
+
 def test_tcp_retrieval_roundtrip():
     rig = build_rig(sessions=2)
     servers = [
@@ -612,25 +630,35 @@ def test_tcp_retrieval_roundtrip():
     try:
         for server in servers:
             server.serve_in_background()
-        client = UserClient(
-            rig.stores["user"],
-            rig.geometry,
-            DataCentreLink(
-                "dc1", "user-dc1",
-                tcp_transport("127.0.0.1", servers[0].server_address[1]),
-            ),
-            DataCentreLink(
-                "dc2", "user-dc2",
-                tcp_transport("127.0.0.1", servers[1].server_address[1]),
-            ),
-            rng=BitSource("tcp-client"),
-        )
-        result = client.retrieve(6)
+        result = _tcp_client(rig, servers).retrieve(6)
         assert result.value == rig.cube.entry(6)
     finally:
         for server in servers:
             server.shutdown()
             server.server_close()
+
+
+def test_daemon_drops_a_malformed_frame_without_a_traceback(capfd):
+    rig = build_rig(sessions=2)
+    servers = [
+        DaemonServer(("127.0.0.1", 0), rig.dc1),
+        DaemonServer(("127.0.0.1", 0), rig.dc2),
+    ]
+    try:
+        for server in servers:
+            server.serve_in_background()
+        with socket.create_connection(
+            ("127.0.0.1", servers[0].server_address[1]), timeout=10
+        ) as sock:
+            sock.sendall(b"X" * HEADER_LEN)  # bad magic, 1.5 GB claimed
+            assert sock.recv(1) == b""  # closed without a reply
+        result = _tcp_client(rig, servers).retrieve(6)
+        assert result.value == rig.cube.entry(6)
+    finally:
+        for server in servers:
+            server.shutdown()
+            server.server_close()
+    assert "Traceback" not in capfd.readouterr().err
 
 
 def test_read_frame_stream_behaviour():
@@ -657,3 +685,67 @@ def test_read_frame_stream_behaviour():
     with pytest.raises(FramingError, match="mid-payload"):
         read_frame(sock)
     sock.close()
+
+
+def _forged_header(magic=b"QSPR", payload_len=1 << 31):
+    header = encode_frame(Frame(MsgType.QUERY, bytes(16)))
+    return magic + header[4:HEADER_LEN - 4] + struct.pack(">I", payload_len)
+
+
+def test_read_frame_forged_length_allocates_only_what_arrives():
+    a, b = socket.socketpair()
+    a.sendall(_forged_header() + bytes(10))
+    a.close()
+    tracemalloc.start()
+    try:
+        with pytest.raises(FramingError, match="mid-payload"):
+            read_frame(b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        b.close()
+    assert peak < 1 << 20
+
+
+def test_read_frame_refuses_a_bad_header_before_its_payload():
+    a, b = socket.socketpair()
+    b.settimeout(10)  # a reader waiting for the payload would time out
+    try:
+        a.sendall(_forged_header(magic=b"XXXX"))
+        with pytest.raises(FramingError, match="bad magic"):
+            read_frame(b)
+    finally:
+        a.close()
+        b.close()
+
+
+def test_read_frame_reassembles_frames_sent_in_small_pieces():
+    frames = [
+        Frame(MsgType.PROVISION, bytes(range(16)), b"abcdef"),
+        Frame(MsgType.CLOSE, bytes(16)),
+        Frame(
+            MsgType.ANSWER,
+            bytes(16),
+            BitSource("big-payload").take_bytes(200_005),  # several recvs
+        ),
+    ]
+    wire = b"".join(encode_frame(f) for f in frames)
+    a, b = socket.socketpair()
+
+    def send_in_pieces():
+        step = 1
+        pos = 0
+        while pos < len(wire):
+            a.sendall(wire[pos:pos + step])
+            pos += step
+            step = 4093 if pos > 2 * HEADER_LEN else 3
+        a.close()
+
+    sender = threading.Thread(target=send_in_pieces)
+    sender.start()
+    try:
+        assert [read_frame(b) for _ in frames] == frames
+        assert read_frame(b) is None
+    finally:
+        sender.join(timeout=30)
+        b.close()
