@@ -10,7 +10,6 @@ codes: 0 success, 2 configuration, 3 protocol, 4 key budget exhausted,
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import signal
 import sys
@@ -35,9 +34,7 @@ from .netsvc import (
     tcp_transport,
 )
 from .qkd.channel import ChannelModel, simulate_tallies
-from .qkd.decoy import decoy_bounds
-from .qkd.distill import distill_session
-from .qkd.finitekey import EpsilonBudget, binary_entropy, finite_key_length
+from .qkd.distill import distill_session, key_accounting
 from .qkd.optimize import export_curve_csv, sweep_distance
 from .rng import BitSource
 from .topology import LINKS, PARTY_LINKS, install_pools, load_party_store
@@ -73,23 +70,17 @@ def _session_report(config: AppConfig) -> list[str]:
     tallies = simulate_tallies(channel, params)
     sift = tallies.coinc[("Z", 0, 0)]
     qber = tallies.errors[("Z", 0, 0)] / sift if sift > 0 else 0.0
-    n0, n1, e1 = decoy_bounds(tallies, params)
-    n_kept = sift - round(params.pe_fraction * sift)
-    leak = math.ceil(params.ec_efficiency * n_kept * binary_entropy(qber))
-    eps = EpsilonBudget(
-        params.eps_cor, params.eps_prime, params.eps_hat, params.eps_pa
-    )
-    l = finite_key_length(n0, n1, e1, leak, eps)
+    _, result = key_accounting(tallies, params)
     return [
         f"distance: {channel.distance_km:g} km per arm "
         f"({2 * channel.distance_km:g} km total)",
         f"sifted key bits: {sift:,.0f}",
         f"QBER (Z basis): {100 * qber:.4f}%",
-        f"vacuum-event bound n0: {n0:,.0f}",
-        f"single-photon bound n1: {n1:,.0f}",
-        f"single-photon phase error e1: {e1:.4f}",
-        f"error-correction leakage: {leak:,} bits",
-        f"extractable key length l: {l:,} bits",
+        f"vacuum-event bound n0: {result.n0_lower:,.0f}",
+        f"single-photon bound n1: {result.n1_lower:,.0f}",
+        f"single-photon phase error e1: {result.e1_upper:.4f}",
+        f"error-correction leakage: {result.leak_ec:,} bits",
+        f"extractable key length l: {result.l:,} bits",
     ]
 
 
@@ -129,25 +120,12 @@ def cmd_provision(args: argparse.Namespace) -> int:
     channel = config.channel_model()
     params = config.protocol_params()
     materials: dict[str, bytes] = {}
-    if args.reuse_keys:
-        print(
-            "warning: --reuse-keys shares one distilled key across all "
-            "three links; key material is identical everywhere"
-        )
+    for link in LINKS:
         key_a, _b, result = distill_session(
-            channel, params, f"{seed}/qkd-shared"
+            channel, params, f"{seed}/qkd-{link}"
         )
-        shared = key_a.material[: key_a.bit_length // 8]
-        for link in LINKS:
-            materials[link] = shared
-        print(f"distilled shared key: {result.l:,} bits")
-    else:
-        for link in LINKS:
-            key_a, _b, result = distill_session(
-                channel, params, f"{seed}/qkd-{link}"
-            )
-            materials[link] = key_a.material[: key_a.bit_length // 8]
-            print(f"distilled {link}: {result.l:,} bits")
+        materials[link] = key_a.material[: key_a.bit_length // 8]
+        print(f"distilled {link}: {result.l:,} bits")
     for path in install_pools(args.out_dir, materials):
         print(f"installed {path}")
     return EXIT_OK
@@ -331,12 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("provision", help="install pools for all three links")
     p.add_argument("--out-dir", required=True)
-    p.add_argument(
-        "--reuse-keys",
-        action="store_true",
-        help="share one distilled key across the three links "
-        "(compatibility mode)",
-    )
     p.set_defaults(func=cmd_provision)
 
     p = sub.add_parser("serve-dc", help="run one data-centre daemon")

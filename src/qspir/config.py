@@ -19,10 +19,6 @@ def _parse_float(raw: str) -> float:
     return float(raw)
 
 
-def _parse_int(raw: str) -> int:
-    return int(raw, 0)
-
-
 def _parse_str(raw: str) -> str:
     return raw
 
@@ -94,12 +90,6 @@ _FIELDS = [
                 "host:port of data centre 1"),
     ConfigField("net", "dc2", _parse_str, "127.0.0.1:7342",
                 "host:port of data centre 2"),
-    ConfigField("paths", "pool_dir", _parse_str, "pools",
-                "directory holding key pool files"),
-    ConfigField("paths", "database", _parse_str, "database.qcub",
-                "cube snapshot path"),
-    ConfigField("paths", "manifest", _parse_str, "manifest.txt",
-                "record manifest path"),
     ConfigField("run", "seed", _parse_str, "0",
                 "deterministic seed for all randomized steps"),
 ]

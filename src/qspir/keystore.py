@@ -4,23 +4,18 @@ Every party pair (user and either data centre, or the two data centres)
 shares one pool of key material. Sessions reserve their full bit budget up
 front at offsets both ends compute from the session index alone
 (:meth:`KeyPool.reserve_at`); a range that overlaps a live reservation or
-leaves its region is refused, pad applications must land on a reservation,
+leaves the pool is refused, pad applications must land on a reservation,
 and no key bit is ever applied twice. An append-only ledger with logical
 timestamps records every reservation and release, so consumption can be
 audited against budgets and a restarted party can replay it: a range that
 an earlier run reserved stays reserved.
-
-User-facing pools are split into two directional regions: outbound
-traffic (queries) draws from the first half, inbound traffic (answers)
-from the second, so the two directions can never collide. The data-centre
-pair pool is one undirected region, since its material pads a shared mask
-set rather than directional traffic.
 """
 
 from __future__ import annotations
 
 import enum
 import hashlib
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -38,10 +33,8 @@ _POOL_VERSION = 1
 
 
 class Direction(enum.Enum):
-    """Which region of a pool a reservation draws from."""
+    """The label a reservation's ledger line carries; a pool is one range."""
 
-    SEND = "send"
-    RECEIVE = "receive"
     WHOLE = "whole"
 
 
@@ -62,7 +55,6 @@ class Reservation:
     offset: int
     bits: int
     purpose: str
-    direction: Direction
     consumed_bits: int = 0
     used: bool = False
 
@@ -109,15 +101,6 @@ class KeyPool:
     def reservations(self) -> tuple[Reservation, ...]:
         return tuple(self._reservations.values())
 
-    def region(self, direction: Direction) -> tuple[int, int]:
-        """Absolute [start, end) bit range of a direction's region."""
-        half = self.capacity_bits // 2
-        if direction is Direction.SEND:
-            return 0, half
-        if direction is Direction.RECEIVE:
-            return half, self.capacity_bits
-        return 0, self.capacity_bits
-
     def reserve_at(
         self,
         session: str,
@@ -130,16 +113,15 @@ class KeyPool:
 
         Lets parties that share a pool agree on per-session ranges by
         session index alone, so concurrent sessions stay aligned even when
-        their frames arrive in different orders at the two ends.
+        their frames arrive in different orders at the two ends. The range
+        may lie anywhere in ``[0, capacity_bits)``; ``direction`` only
+        labels the ledger line.
         """
         if bits <= 0:
             raise ValidationError(f"reservation of {bits} bits is not positive")
-        start, end = self.region(direction)
-        if offset < start or offset + bits > end:
+        if offset < 0 or offset + bits > self.capacity_bits:
             raise BudgetExhaustedError(
-                f"{self.pool_id}:{direction.value}",
-                bits,
-                max(0, end - offset),
+                self.pool_id, bits, max(0, self.capacity_bits - offset)
             )
         for r in self._reservations.values():
             if r.offset < offset + bits and offset < r.offset + r.bits:
@@ -147,9 +129,7 @@ class KeyPool:
                     f"pool {self.pool_id!r}: range [{offset}, "
                     f"{offset + bits}) overlaps an existing reservation"
                 )
-        return self._add(
-            Reservation(session, offset, bits, purpose, direction)
-        )
+        return self._add(Reservation(session, offset, bits, purpose))
 
     def _add(self, reservation: Reservation) -> KeySlice:
         if reservation.offset in self._reservations:
@@ -231,7 +211,7 @@ class KeyPool:
 
     def material_digest(self) -> bytes:
         """SHA-256 of the raw material, for provisioning cross-checks."""
-        return hashlib.sha256(bytes(self._material)).digest()
+        return hashlib.sha256(self._material).digest()
 
     # -- reporting & audit -------------------------------------------------
 
@@ -312,11 +292,7 @@ class KeyPool:
                     continue
                 self._add(
                     Reservation(
-                        session=entry.session,
-                        offset=entry.offset,
-                        bits=entry.bits,
-                        purpose=entry.purpose,
-                        direction=Direction(entry.direction),
+                        entry.session, entry.offset, entry.bits, entry.purpose
                     )
                 )
             self.audit_no_overlap()
@@ -333,7 +309,12 @@ class KeyPool:
 
 @dataclass(frozen=True)
 class LedgerEntry:
-    """One append-only ledger line."""
+    """One append-only ledger line.
+
+    ``direction`` is the label after the ``#``, kept as plain text: replay
+    reads only the absolute range, so a line cut inside its label, or
+    written with the older ``send``/``receive`` labels, still reserves it.
+    """
 
     timestamp: int
     pool_id: str
@@ -355,12 +336,16 @@ class LedgerEntry:
         if len(parts) != 6:
             raise StorageError(f"malformed ledger line: {line!r}")
         purpose, _, direction = parts[5].rpartition("#")
+        try:
+            timestamp, offset, bits = (int(parts[i]) for i in (0, 3, 4))
+        except ValueError:
+            raise StorageError(f"malformed ledger line: {line!r}") from None
         return cls(
-            timestamp=int(parts[0]),
+            timestamp=timestamp,
             pool_id=parts[1],
             session=parts[2],
-            offset=int(parts[3]),
-            bits=int(parts[4]),
+            offset=offset,
+            bits=bits,
             purpose=purpose,
             direction=direction,
         )
@@ -374,6 +359,7 @@ class KeyStore:
         self._ledger_path = ledger_path
         self._entries: list[LedgerEntry] = []
         self._clock = 0
+        self._appended = False
 
     @property
     def entries(self) -> tuple[LedgerEntry, ...]:
@@ -425,8 +411,16 @@ class KeyStore:
         )
         self._entries.append(entry)
         if self._ledger_path:
-            with open(self._ledger_path, "a") as fh:
-                fh.write(entry.format() + "\n")
+            line = entry.format() + "\n"
+            with open(self._ledger_path, "ab+") as fh:
+                # A torn earlier write may have left the last line without
+                # its newline; end it first, or this line would extend it.
+                if not self._appended and fh.tell() > 0:
+                    fh.seek(-1, os.SEEK_END)
+                    if fh.read(1) != b"\n":
+                        line = "\n" + line
+                fh.write(line.encode())
+            self._appended = True
 
     def reserve_at(
         self,

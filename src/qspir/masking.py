@@ -111,8 +111,8 @@ def required_key_budget(n: int, record_bits: int) -> KeyBudget:
     """Reserved key bits per retrieval session on each link class.
 
     The user-database budget covers the 3m query bits plus three
-    ceil(log2 m)-bit index hints on the send half and the (3m + 4)L answer
-    words plus 3L slack on the receive half. The database-database budget
+    ceil(log2 m)-bit index hints on the send slice and the (3m + 4)L answer
+    words plus 3L slack on the receive slice. The database-database budget
     is 3L per flip word plus 10L fixed overhead, a strict superset of the
     (6m + 13)L actually drawn.
     """

@@ -22,7 +22,7 @@ from ..keystore import KeySlice, KeyStore
 from ..masking import deserialize_masked_bundle, unmask_reconstruct
 from ..protocol import encode_query, gen_queries, sample_user_randomness
 from ..rng import BitSource
-from .frames import ErrorReason, Frame, MsgType, error_reason
+from .frames import Frame, MsgType, error_reason
 from .sessions import (
     SessionGeometry,
     encode_provision,

@@ -4,7 +4,7 @@ One daemon serves one database copy. Per session it reserves the full key
 budget at PROVISION time (user send/receive slices plus the pair-pool mask
 slice, all scheduled by session index), then on QUERY decrypts the pad,
 computes the answer bundle, masks it with the session's mask set, encrypts
-the serialized bundle with the receive-half slice, and emits ANSWER then
+the serialized bundle with the receive slice, and emits ANSWER then
 CLOSE. Every failure aborts before any answer bits leave: the reply is a
 plaintext ERROR carrying a reason code, and unused reservations are
 returned to their pools.

@@ -42,10 +42,6 @@ class LinkMonitor:
         self._provisioning_open = True
 
     @property
-    def provisioning_open(self) -> bool:
-        return self._provisioning_open
-
-    @property
     def events(self) -> tuple[AuditEvent, ...]:
         return tuple(self._events)
 

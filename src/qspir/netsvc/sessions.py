@@ -6,12 +6,13 @@ parties compute identical slice offsets from the index alone, so two
 concurrent sessions stay aligned on both ends of every pool even when
 their frames arrive in different orders.
 
-Per session and user-database pool the send half reserves 3m + 3*ceil(log2
-m) bits (the query pad plus index-hint headroom) and the receive half
-(3m + 7)L bits (the answer pad plus 3L slack); the pair pool reserves
-(9m + 10)L bits of mask material. Only the leading 3m, (3m + 4)L and
-(6m + 13)L bits respectively are ever applied; the remainder is reported
-as reserved-but-unconsumed.
+On each user-database pool, session i owns one contiguous slot of S =
+send + receive bits starting at i*S: the send slice of 3m + 3*ceil(log2 m)
+bits (the query pad plus index-hint headroom), then directly after it the
+receive slice of (3m + 7)L bits (the answer pad plus 3L slack). On the pair
+pool it owns (9m + 10)L bits of mask material at i times that. Only the
+leading 3m, (3m + 4)L and (6m + 13)L bits respectively are ever applied;
+the remainder is reported as reserved-but-unconsumed.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 from ..cube import cube_dims
 from ..errors import FramingError
-from ..keystore import Direction, KeySlice, KeyStore
+from ..keystore import KeySlice, KeyStore
 from ..masking import answer_payload_bits, mask_material_bits
 
 
@@ -69,13 +70,11 @@ class SessionGeometry:
     def mask_slice_bits(self) -> int:
         return (9 * self.m + 10) * self.record_bits
 
-    def send_offset(self, pool, index: int) -> int:
-        start, _ = pool.region(Direction.SEND)
-        return start + index * self.send_slice_bits
+    def send_offset(self, index: int) -> int:
+        return index * (self.send_slice_bits + self.receive_slice_bits)
 
-    def receive_offset(self, pool, index: int) -> int:
-        start, _ = pool.region(Direction.RECEIVE)
-        return start + index * self.receive_slice_bits
+    def receive_offset(self, index: int) -> int:
+        return self.send_offset(index) + self.send_slice_bits
 
     def mask_offset(self, index: int) -> int:
         return index * self.mask_slice_bits
@@ -115,22 +114,19 @@ def reserve_user_slices(
     index: int,
 ) -> SessionSlices:
     """Reserve the send and receive slices for one session, by index."""
-    pool = store.pool(pool_id)
     send = store.reserve_at(
         pool_id,
         session,
-        geometry.send_offset(pool, index),
+        geometry.send_offset(index),
         geometry.send_slice_bits,
         "query-otp",
-        Direction.SEND,
     )
     receive = store.reserve_at(
         pool_id,
         session,
-        geometry.receive_offset(pool, index),
+        geometry.receive_offset(index),
         geometry.receive_slice_bits,
         "answer-otp",
-        Direction.RECEIVE,
     )
     return SessionSlices(send=send, receive=receive)
 
@@ -148,7 +144,6 @@ def reserve_mask_slice(
         geometry.mask_offset(index),
         geometry.mask_slice_bits,
         "mask-set",
-        Direction.WHOLE,
     )
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from ..bitops import bytes_for_bits
 from ..errors import ValidationError
 from ..rng import BitSource
-from .channel import ChannelModel, ProtocolParams, simulate_tallies
+from .channel import ChannelModel, ProtocolParams, TallySet, simulate_tallies
 from .decoy import decoy_bounds
 from .finitekey import EpsilonBudget, FiniteKeyResult, binary_entropy, finite_key_length
 from .toeplitz import toeplitz_hash
@@ -37,6 +37,31 @@ class DistilledKey:
     def __post_init__(self):
         if len(self.material) != bytes_for_bits(self.bit_length):
             raise ValidationError("material length does not match bit length")
+
+
+def key_accounting(
+    tallies: TallySet, params: ProtocolParams
+) -> tuple[int, FiniteKeyResult]:
+    """Kept bits and finite-key result for one session's tallies.
+
+    The one definition of the accounting from tallies to length, shared by
+    distillation, the ``qkd-sim`` report and the optimizer. The sifted and
+    parameter-estimation counts are whole bits, and nothing kept means a
+    length of 0.
+    """
+    coinc = tallies.coinc[("Z", 0, 0)]
+    qber = tallies.errors[("Z", 0, 0)] / coinc if coinc > 0 else 0.0
+    n_sift = int(round(coinc))
+    n_kept = n_sift - int(round(params.pe_fraction * n_sift))
+    leak_ec = math.ceil(params.ec_efficiency * n_kept * binary_entropy(qber))
+    n0, n1, e1 = decoy_bounds(tallies, params)
+    eps = EpsilonBudget(
+        params.eps_cor, params.eps_prime, params.eps_hat, params.eps_pa
+    )
+    l = finite_key_length(n0, n1, e1, leak_ec, eps) if n_kept > 0 else 0
+    return n_kept, FiniteKeyResult(
+        n0_lower=n0, n1_lower=n1, e1_upper=e1, leak_ec=leak_ec, l=l
+    )
 
 
 def _np_rng(source: BitSource) -> np.random.Generator:
@@ -55,30 +80,11 @@ def distill_session(
     (channel, params); the sampled raw strings depend on the seed.
     """
     source = BitSource(seed)
-    tallies = simulate_tallies(channel, params)
-    n_sift = int(round(tallies.coinc[("Z", 0, 0)]))
-    qber = (
-        tallies.errors[("Z", 0, 0)] / tallies.coinc[("Z", 0, 0)]
-        if tallies.coinc[("Z", 0, 0)] > 0
-        else 0.0
-    )
-    n0, n1, e1 = decoy_bounds(tallies, params)
-    eps = EpsilonBudget(
-        params.eps_cor, params.eps_prime, params.eps_hat, params.eps_pa
-    )
-
-    n_pe = int(round(params.pe_fraction * n_sift))
-    n_kept = n_sift - n_pe
-    leak_ec = math.ceil(params.ec_efficiency * n_kept * binary_entropy(qber))
-    l = finite_key_length(n0, n1, e1, leak_ec, eps)
-    result = FiniteKeyResult(
-        n0_lower=n0, n1_lower=n1, e1_upper=e1, leak_ec=leak_ec, l=l
-    )
-    if l == 0 or n_kept <= 0:
+    n_kept, result = key_accounting(simulate_tallies(channel, params), params)
+    l = result.l
+    if l == 0:
         empty = DistilledKey(material=b"", bit_length=0)
-        return empty, empty, FiniteKeyResult(
-            n0_lower=n0, n1_lower=n1, e1_upper=e1, leak_ec=leak_ec, l=0
-        )
+        return empty, empty, result
 
     # The bits both parties hold after reconciliation.
     kept = _np_rng(source.spawn("raw")).integers(0, 2, n_kept, dtype=np.uint8)

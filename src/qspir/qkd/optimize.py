@@ -22,8 +22,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .channel import ChannelModel, ProtocolParams, saturation_ok, simulate_tallies
-from .decoy import decoy_bounds
-from .finitekey import EpsilonBudget, binary_entropy, finite_key_length
+from .distill import key_accounting
 
 MU1_GRID = (0.08, 0.11, 0.14, 0.2, 0.25, 0.3, 0.35, 0.45, 0.6, 0.8)
 MU2_GRID = (0.01, 0.02, 0.03, 0.05, 0.08, 0.12, 0.18, 0.25)
@@ -42,18 +41,7 @@ def evaluate_length(channel: ChannelModel, params: ProtocolParams) -> int:
     """Extractable bits for one configuration (0 when infeasible)."""
     if not saturation_ok(channel, params):
         return 0
-    tallies = simulate_tallies(channel, params)
-    coinc = tallies.coinc[("Z", 0, 0)]
-    if coinc <= 0:
-        return 0
-    qber = tallies.errors[("Z", 0, 0)] / coinc
-    n_kept = (1.0 - params.pe_fraction) * coinc
-    leak = math.ceil(params.ec_efficiency * n_kept * binary_entropy(qber))
-    n0, n1, e1 = decoy_bounds(tallies, params)
-    eps = EpsilonBudget(
-        params.eps_cor, params.eps_prime, params.eps_hat, params.eps_pa
-    )
-    return finite_key_length(n0, n1, e1, leak, eps)
+    return key_accounting(simulate_tallies(channel, params), params)[1].l
 
 
 def _with_weights(base: ProtocolParams, weights: list[float]) -> ProtocolParams:

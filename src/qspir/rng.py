@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-import random
 from collections.abc import Sequence
 
 from .bitops import bytes_for_bits
@@ -84,8 +83,3 @@ class BitSource:
         child._counter = 0
         child._buf = b""
         return child
-
-
-def py_rng(seed: int) -> random.Random:
-    """A plain :class:`random.Random` for non-cryptographic sampling."""
-    return random.Random(seed)

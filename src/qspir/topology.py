@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 
+from .errors import StorageError
 from .keystore import KeyPool, KeyStore
 
 #: Each party's link pools; a data centre's user link comes first.
@@ -44,13 +45,17 @@ def load_party_store(
     """Load a party's pools and replay its ledger, if that file exists.
 
     A missing ledger means no history. Without a ledger a restarted party
-    cannot know which pads an earlier run spent.
+    cannot know which pads an earlier run spent. A party whose two links
+    hold the same material is refused: each link's pads must be its own.
     """
     store = KeyStore(ledger_path=ledger)
     for link in PARTY_LINKS[party]:
         store.add_pool(
             KeyPool.load(os.path.join(pool_dir, party, f"{link}.qkey"))
         )
+    pools = store.pools()
+    if len({pool.material_digest() for pool in pools}) < len(pools):
+        raise StorageError(f"{party}: two link pools share one key material")
     if ledger and os.path.exists(ledger):
         store.replay_ledger(KeyStore.read_ledger(ledger))
     return store

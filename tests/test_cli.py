@@ -19,6 +19,8 @@ from qspir.netsvc import (
     SessionGeometry,
     tcp_transport,
 )
+from qspir.qkd.channel import ChannelModel, ProtocolParams
+from qspir.qkd.distill import distill_session
 from qspir.rng import BitSource
 from qspir.topology import PARTY_LINKS, install_pools, load_party_store
 
@@ -167,19 +169,34 @@ def test_qkd_keygen_truncation_and_exhaustion(tmp_path, capsys):
     assert "error code=4 kind=BudgetExhaustedError" in capsys.readouterr().err
 
 
-def test_provision_reuse_keys_shares_material(tmp_path, capsys):
-    out_dir = tmp_path / "pools"
-    assert main(["provision", "--out-dir", str(out_dir), "--reuse-keys"]) == 0
+def test_qkd_sim_reports_the_length_distillation_delivers(capsys):
+    # At 85.5 km per arm a fractional sifted count would make the leak one
+    # bit larger than the whole-bit count distillation pays.
+    assert main(["--set", "channel.distance_km=85.5", "qkd-sim"]) == 0
     out = capsys.readouterr().out
-    assert "warning: --reuse-keys shares one distilled key" in out
+    _, _, result = distill_session(
+        ChannelModel(distance_km=85.5), ProtocolParams(), 0
+    )
+    assert result.l == 2_498
+    assert f"error-correction leakage: {result.leak_ec:,} bits" in out
+    assert f"extractable key length l: {result.l:,} bits" in out
+
+
+def test_provision_installs_each_link_once_per_end(tmp_path, capsys):
+    out_dir = tmp_path / "pools"
+    assert main(["provision", "--out-dir", str(out_dir)]) == 0
     materials = {}
     for party, links in PARTY_LINKS.items():
         for link in links:
             pool = KeyPool.load(str(out_dir / party / f"{link}.qkey"))
+            assert pool.capacity_bits == 1_133_920
             materials.setdefault(link, set()).add(pool.material_digest())
-    # Each link's two copies agree, and reuse mode makes all links equal.
+        load_party_store(str(out_dir), party)
+    # Each link's two copies agree, and no two links share material.
     assert all(len(v) == 1 for v in materials.values())
-    assert len({v.pop() for v in materials.values()}) == 1
+    assert len({v.pop() for v in materials.values()}) == 3
+    with pytest.raises(SystemExit):  # the shared-key mode is gone
+        main(["provision", "--out-dir", str(out_dir), "--reuse-keys"])
 
 
 def test_get_retrieves_byte_exact_record(served_database, tmp_path, capsys):

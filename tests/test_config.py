@@ -10,7 +10,9 @@ def test_defaults_match_calibrated_models():
     assert config.channel_model() == ChannelModel()
     assert config.protocol_params() == ProtocolParams()
     assert config.get("run", "seed") == "0"
-    assert config.get("paths", "pool_dir") == "pools"
+    assert {section for section, _ in SCHEMA} == {
+        "channel", "protocol", "net", "run"
+    }
     for path in SCHEMA:
         assert config.provenance(*path) == "default"
 

@@ -99,43 +99,43 @@ def test_otp_apply_partial_bits_and_validation():
         other.otp_apply(b"\x00", KeySlice("other", 0, 8))
 
 
-def test_directional_halves_do_not_collide():
-    pool = _pool(nbytes=16)  # 128 bits, halves of 64
-    assert pool.region(Direction.SEND) == (0, 64)
-    assert pool.region(Direction.RECEIVE) == (64, 128)
-    assert pool.region(Direction.WHOLE) == (0, 128)
-    a = pool.reserve_at("s", 0, 30, "query", Direction.SEND)
-    b = pool.reserve_at("s", 64, 50, "answer", Direction.RECEIVE)
-    assert (a.offset, b.offset) == (0, 64)
-    # The send half ends at the boundary, with the exact deficit...
+def test_adjacent_slot_slices_share_one_range_without_colliding():
+    pool = _pool(nbytes=16)  # 128 bits, one range
+    # Slot 0: send [0, 30), receive [30, 64); slot 1 starts at 64.
+    a = pool.reserve_at("s0", 0, 30, "query-otp")
+    b = pool.reserve_at("s0", 30, 34, "answer-otp")
+    assert (a.offset, b.offset) == (0, 30)
+    # A send slice may not reach into the receive slice it precedes ...
+    with pytest.raises(KeyReuseError):
+        pool.reserve_at("s0", 29, 2, "query-otp", Direction.WHOLE)
+    pool.reserve_at("s1", 64, 30, "query-otp")
+    # ... and the last slot ends at the pool's end, with the exact deficit,
+    # reported against the pool itself.
     with pytest.raises(BudgetExhaustedError) as info:
-        pool.reserve_at("s", 30, 35, "query", Direction.SEND)
+        pool.reserve_at("s1", 94, 35, "answer-otp")
     assert (info.value.needed, info.value.available) == (35, 34)
-    assert info.value.pool == "p:send"
-    # ... and neither half reaches into the other.
+    assert info.value.pool == "p"
     with pytest.raises(BudgetExhaustedError):
-        pool.reserve_at("s", 60, 8, "answer", Direction.RECEIVE)
-    with pytest.raises(BudgetExhaustedError) as info:
-        pool.reserve_at("s", 114, 15, "answer", Direction.RECEIVE)
-    assert (info.value.needed, info.value.available) == (15, 14)
-    pool.reserve_at("s", 30, 34, "query", Direction.SEND)  # fills the half
-    pool.reserve_at("s", 114, 14, "answer", Direction.RECEIVE)
+        pool.reserve_at("s1", -1, 2, "answer-otp")
+    pool.reserve_at("s1", 94, 34, "answer-otp")
     assert pool.consumed == 128
     pool.audit_no_overlap()
 
 
 def test_odd_capacity_boundary():
-    pool = KeyPool("odd", b"\x00" * 3)  # 24 bits -> halves 12/12
-    assert pool.region(Direction.SEND) == (0, 12)
-    assert pool.region(Direction.RECEIVE) == (12, 24)
-    # The boundary falls mid-byte; each half holds exactly its 12 bits.
+    pool = KeyPool("odd", BitSource("odd").take_bytes(3))  # 24 bits
+    # Slices meet mid-byte; together they hold exactly the pool's 24 bits.
     with pytest.raises(BudgetExhaustedError) as info:
-        pool.reserve_at("s", 0, 13, "query", Direction.SEND)
-    assert (info.value.needed, info.value.available) == (13, 12)
-    with pytest.raises(BudgetExhaustedError):
-        pool.reserve_at("s", 11, 2, "answer", Direction.RECEIVE)
-    pool.reserve_at("s", 0, 12, "query", Direction.SEND)
-    pool.reserve_at("s", 12, 12, "answer", Direction.RECEIVE)
+        pool.reserve_at("s", 11, 14, "answer")
+    assert (info.value.needed, info.value.available) == (14, 13)
+    send = pool.reserve_at("s", 0, 11, "query")
+    receive = pool.reserve_at("s", 11, 13, "answer")
+    other = KeyPool("odd", BitSource("odd").take_bytes(3))
+    for key_slice in (send, receive):
+        other.reserve_at("s", key_slice.offset, key_slice.bits, "pad")
+        data = b"\x5a\xa5"
+        assert other.otp_apply(pool.otp_apply(data, key_slice, key_slice.bits),
+                               key_slice, key_slice.bits) == data
 
 
 def test_reserve_at_overlap_and_range():
@@ -222,20 +222,85 @@ def test_ledger_entry_format_roundtrip():
         LedgerEntry.parse("1 2 3")
 
 
+def test_ledger_line_with_a_non_numeric_field_is_a_storage_error(tmp_path):
+    good = "7 user-dc1 session-3 1200 42 query-otp#whole"
+    for bad in (
+        "7 user-dc1 session-3 12x0 42 query-otp#whole",  # offset
+        "7 user-dc1 session-3 1200 4.2 query-otp#whole",  # bits
+        "t7 user-dc1 session-3 1200 42 query-otp#whole",  # timestamp
+    ):
+        with pytest.raises(StorageError, match="malformed ledger line"):
+            LedgerEntry.parse(bad)
+        path = tmp_path / "ledger.txt"
+        path.write_text(good + "\n" + bad + "\n")
+        with pytest.raises(StorageError, match="12x0|4.2|t7"):
+            KeyStore.read_ledger(str(path))
+
+
+def _replayed_store(material: bytes, ledger: str) -> KeyStore:
+    store = KeyStore(ledger_path=ledger)
+    store.add_pool(KeyPool("link", material))
+    store.replay_ledger(KeyStore.read_ledger(ledger))
+    return store
+
+
+def test_ledger_cut_inside_its_label_replays_the_range_it_names(tmp_path):
+    # A crash tore the last line inside its label. The line still names its
+    # whole range, so replay keeps that range reserved. The labels are those
+    # of a ledger written when pools had send and receive halves.
+    material = BitSource("torn").take_bytes(64)
+    ledger = tmp_path / "ledger.txt"
+    ledger.write_text(
+        "1 link session-0 0 40 query-otp#send\n"
+        "2 link session-0 256 80 answer-otp#rece"
+    )
+    store = _replayed_store(material, str(ledger))
+    pool = store.pool("link")
+    assert [(r.offset, r.bits) for r in pool.reservations] == [
+        (0, 40), (256, 80)
+    ]
+    with pytest.raises(KeyReuseError):
+        store.reserve_at("link", "session-1", 300, 8, "query-otp")
+    store.reserve_at("link", "session-1", 40, 8, "query-otp")
+    lines = ledger.read_text().splitlines()
+    assert lines[1] == "2 link session-0 256 80 answer-otp#rece"
+    assert lines[2] == "3 link session-1 40 8 query-otp#whole"
+
+
+def test_ledger_that_lost_its_last_newline_survives_two_restarts(tmp_path):
+    material = BitSource("newline").take_bytes(64)
+    ledger = tmp_path / "ledger.txt"
+    first = KeyStore(ledger_path=str(ledger))
+    first.add_pool(KeyPool("link", material))
+    first.reserve_at("link", "session-0", 0, 40, "query-otp")
+    ledger.write_text(ledger.read_text().rstrip("\n"))  # torn: no newline
+
+    second = _replayed_store(material, str(ledger))
+    second.reserve_at("link", "session-1", 40, 16, "query-otp")
+    third = _replayed_store(material, str(ledger))
+    third.reserve_at("link", "session-2", 56, 8, "query-otp")
+    fourth = _replayed_store(material, str(ledger))
+    assert [(e.session, e.offset) for e in fourth.entries] == [
+        ("session-0", 0), ("session-1", 40), ("session-2", 56)
+    ]
+    assert ledger.read_text().endswith("\n")
+
+
 def test_store_ledger_and_replay(tmp_path):
     ledger_path = str(tmp_path / "ledger.txt")
     material = BitSource("replay").take_bytes(64)
     store = KeyStore(ledger_path=ledger_path)
-    store.add_pool(KeyPool("link", material))  # 512 bits, halves of 256
-    a = store.reserve_at("link", "s0", 0, 64, "pad", Direction.SEND)
-    store.reserve_at("link", "s1", 256, 80, "pad", Direction.RECEIVE)
-    b = store.reserve_at("link", "s2", 64, 32, "pad", Direction.SEND)
+    store.add_pool(KeyPool("link", material))  # 512 bits
+    a = store.reserve_at("link", "s0", 0, 64, "pad", Direction.WHOLE)
+    store.reserve_at("link", "s1", 256, 80, "pad")
+    b = store.reserve_at("link", "s2", 64, 32, "pad")
     store.otp_apply(bytes(8), a)
     store.release(b, "s2")
     store.audit_no_reuse()
 
     entries = KeyStore.read_ledger(ledger_path)
     assert len(entries) == 4  # three reservations plus one release line
+    assert {e.direction for e in entries} == {"whole"}
     assert entries[3].purpose == "release:unused"
 
     fresh = KeyPool("link", material)

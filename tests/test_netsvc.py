@@ -8,7 +8,12 @@ import pytest
 
 from qspir.bitops import bytes_for_bits
 from qspir.cube import Database
-from qspir.errors import BudgetExhaustedError, FramingError, ProtocolError
+from qspir.errors import (
+    BudgetExhaustedError,
+    FramingError,
+    ProtocolError,
+    StorageError,
+)
 from qspir.keystore import KeyPool, KeyStore
 from qspir.masking import (
     answer_payload_bits,
@@ -35,6 +40,7 @@ from qspir.netsvc import (
     error_frame,
     error_reason,
     new_session_id,
+    reserve_mask_slice,
     reserve_user_slices,
     session_index,
     tcp_transport,
@@ -71,13 +77,13 @@ def build_rig(
     cube = Database.from_entries(entries, record_bits)
     geom = SessionGeometry.for_database(n, record_bits)
 
-    def user_material(count):
-        bits = max(2 * count * geom.receive_slice_bits, 8)
-        return BitSource("user-link").take_bytes(bytes_for_bits(bits))
+    def user_material(link, count):
+        slot = geom.send_slice_bits + geom.receive_slice_bits
+        return BitSource(link).take_bytes(bytes_for_bits(max(count * slot, 8)))
 
     materials = {
-        "user-dc1": user_material(sessions),
-        "user-dc2": user_material(user2_sessions),
+        "user-dc1": user_material("user-dc1", sessions),
+        "user-dc2": user_material("user-dc2", user2_sessions),
         "dc-pair": BitSource("pair-link").take_bytes(
             bytes_for_bits(max(pair_sessions * geom.mask_slice_bits, 8))
         ),
@@ -205,6 +211,30 @@ def test_pinned_wire_sizes_production_shape():
     assert geom.mask_slice_bits == budgets.dc_dc_bits
 
 
+def test_one_distillation_pays_for_six_user_sessions_and_two_pair_sessions():
+    # provision installs the whole bytes of one default distillation.
+    pool_bytes = 1_133_926 // 8
+    assert pool_bytes == 141_740
+    geom = SessionGeometry.for_database(800, 4656)
+    assert geom.send_offset(1) == 172_314
+    assert geom.receive_offset(1) == 172_314 + 42
+    store = KeyStore()
+    store.add_pool(KeyPool("user-dc1", bytes(pool_bytes)))
+    store.add_pool(KeyPool("dc-pair", bytes(pool_bytes)))
+    for index in range(6):
+        slices = reserve_user_slices(
+            store, "user-dc1", f"session-{index}", geom, index
+        )
+        assert slices.receive.offset == slices.send.offset + 42
+    with pytest.raises(BudgetExhaustedError):
+        reserve_user_slices(store, "user-dc1", "session-6", geom, 6)
+    for index in range(2):
+        reserve_mask_slice(store, "dc-pair", f"session-{index}", geom, index)
+    with pytest.raises(BudgetExhaustedError):
+        reserve_mask_slice(store, "dc-pair", "session-2", geom, 2)
+    store.audit_no_reuse()
+
+
 # -- end-to-end retrieval ----------------------------------------------------
 
 
@@ -217,6 +247,20 @@ def test_end_to_end_in_process_retrievals():
         assert result.record == result.value
         assert result.padding is False
     assert rig.monitor.alarms == ()
+    for store in rig.stores.values():
+        store.audit_no_reuse()
+
+
+def test_user_pools_of_k_slots_serve_k_retrievals_end_to_end():
+    k = 3
+    rig = build_rig(sessions=k)
+    slot = rig.geometry.send_slice_bits + rig.geometry.receive_slice_bits
+    for link in ("user-dc1", "user-dc2"):
+        assert rig.stores["user"].pool(link).capacity_bits // slot == k
+    for x in range(k):
+        assert rig.client.retrieve(x).value == rig.cube.entry(x)
+    with pytest.raises(BudgetExhaustedError):
+        rig.client.retrieve(0)
     for store in rig.stores.values():
         store.audit_no_reuse()
 
@@ -462,6 +506,18 @@ def test_client_over_a_replayed_store_resumes_after_its_last_index(tmp_path):
             str(tmp_path), party, str(tmp_path / f"{party}.ledger")
         )
         replayed.audit_no_reuse()
+
+
+def test_party_whose_links_share_key_material_is_refused(tmp_path):
+    shared = bytes(64)
+    install_pools(
+        str(tmp_path),
+        {"user-dc1": shared, "user-dc2": shared, "dc-pair": bytes(range(64))},
+    )
+    with pytest.raises(StorageError, match="share one key material"):
+        load_party_store(str(tmp_path), "user")
+    for party in ("dc1", "dc2"):  # each data centre holds distinct links
+        load_party_store(str(tmp_path), party)
 
 
 def test_provision_parameter_validation():
