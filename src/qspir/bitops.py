@@ -5,13 +5,18 @@ Conventions used everywhere:
 * An ``L``-bit value travels as ``ceil(L/8)`` bytes in little-endian bit
   order: bit ``i`` of the value is bit ``i % 8`` of byte ``i // 8``.  Spare
   high bits of the last byte are zero.
+* Inside the protocol an L-bit word is one row of a ``uint8`` array of
+  width ``ceil(L/8)``, in that same layout.  ``count`` words packed back to
+  back (the wire and key-material format) become rows with
+  :func:`split_words` and go back with :func:`join_words`; no word is ever
+  converted to a Python int.
 * Membership vectors over ``m`` positions are Python ints used as bitmasks
   (bit ``p`` set means position ``p`` is in the set).
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+import numpy as np
 
 
 def bytes_for_bits(nbits: int) -> int:
@@ -28,21 +33,6 @@ def xor_bytes(a: bytes, b: bytes) -> bytes:
     ).to_bytes(len(a), "little")
 
 
-def xor_many(items: Iterable[bytes], nbytes: int) -> bytes:
-    """XOR any number of ``nbytes``-long byte strings (empty -> zeros)."""
-    acc = 0
-    for item in items:
-        if len(item) != nbytes:
-            raise ValueError(f"length mismatch: {len(item)} != {nbytes}")
-        acc ^= int.from_bytes(item, "little")
-    return acc.to_bytes(nbytes, "little")
-
-
-def bit_get(buf: bytes, i: int) -> int:
-    """Bit ``i`` of a little-endian-bit-order buffer."""
-    return (buf[i >> 3] >> (i & 7)) & 1
-
-
 def take_bits(material: bytes, bit_offset: int, nbits: int) -> bytes:
     """Extract ``nbits`` bits starting at ``bit_offset`` as a fresh buffer.
 
@@ -50,31 +40,51 @@ def take_bits(material: bytes, bit_offset: int, nbits: int) -> bytes:
     starting at bit 0. ``material`` may be any bytes-like buffer.
 
     Cost is linear in ``nbits``: only the bytes the slice touches are
-    converted, so it does not grow with the size of ``material``.
+    read, so it does not grow with the size of ``material``.
     """
     if bit_offset < 0 or nbits < 0:
         raise ValueError("negative offset or length")
     if bit_offset + nbits > 8 * len(material):
         raise ValueError("slice extends past end of material")
-    window = material[bit_offset >> 3:bytes_for_bits(bit_offset + nbits)]
-    val = (int.from_bytes(window, "little") >> (bit_offset & 7)) & (
-        (1 << nbits) - 1
+    window = np.frombuffer(material, np.uint8)[
+        bit_offset >> 3:bytes_for_bits(bit_offset + nbits)
+    ]
+    nbytes, shift = bytes_for_bits(nbits), bit_offset & 7
+    if shift:
+        out = window[:nbytes] >> shift
+        out[:len(window) - 1] |= window[1:] << (8 - shift)
+    else:
+        out = window.copy()
+    if nbits % 8:
+        out[-1] &= (1 << (nbits % 8)) - 1
+    return out.tobytes()
+
+
+def split_words(buf: bytes, count: int, nbits: int) -> np.ndarray:
+    """The first ``count`` packed ``nbits``-bit words of ``buf`` as rows.
+
+    Returns a ``(count, ceil(nbits/8))`` uint8 array whose rows have zero
+    spare high bits; for whole-byte words it is a view of ``buf``.
+    """
+    nbytes = bytes_for_bits(nbits)
+    if nbits % 8 == 0:
+        return np.frombuffer(buf, np.uint8, count * nbytes).reshape(
+            count, nbytes
+        )
+    bits = np.unpackbits(
+        np.frombuffer(buf, np.uint8), count=count * nbits, bitorder="little"
     )
-    return val.to_bytes(bytes_for_bits(nbits), "little")
+    return np.packbits(
+        bits.reshape(count, nbits), axis=1, bitorder="little"
+    )
 
 
-def pack_bits(bits: Sequence[int]) -> bytes:
-    """Pack a 0/1 sequence into bytes, little-endian bit order."""
-    acc = 0
-    for i, b in enumerate(bits):
-        if b:
-            acc |= 1 << i
-    return acc.to_bytes(bytes_for_bits(len(bits)), "little")
-
-
-def unpack_bits(buf: bytes, nbits: int) -> list[int]:
-    """Inverse of :func:`pack_bits`."""
-    return [bit_get(buf, i) for i in range(nbits)]
+def join_words(rows: np.ndarray, nbits: int) -> bytes:
+    """Inverse of :func:`split_words`: the rows packed back to back."""
+    if nbits % 8 == 0:
+        return rows.tobytes()
+    bits = np.unpackbits(rows, axis=1, count=nbits, bitorder="little")
+    return np.packbits(bits, bitorder="little").tobytes()
 
 
 def mask_to_positions(mask: int, m: int) -> list[int]:

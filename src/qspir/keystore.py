@@ -19,7 +19,9 @@ import os
 import struct
 from dataclasses import dataclass, field
 
-from .bitops import bytes_for_bits, take_bits, xor_bytes
+import numpy as np
+
+from .bitops import bytes_for_bits, take_bits
 from .errors import (
     BudgetExhaustedError,
     ConfigurationError,
@@ -200,10 +202,11 @@ class KeyPool:
             key_slice.offset >> 3:bytes_for_bits(key_slice.offset + data_bits)
         ]
         pad = take_bits(window, key_slice.offset & 7, data_bits)
-        pad += b"\x00" * (len(data) - len(pad))
+        out = bytearray(data)
+        np.frombuffer(out, np.uint8)[:len(pad)] ^= np.frombuffer(pad, np.uint8)
         reservation.used = True
         reservation.consumed_bits = data_bits
-        return xor_bytes(data, pad)
+        return bytes(out)
 
     def slice_used(self, key_slice: KeySlice) -> bool:
         """Whether the slice's reservation has been applied."""

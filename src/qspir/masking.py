@@ -40,12 +40,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .bitops import (
     bytes_for_bits,
+    join_words,
     mask_to_positions,
+    split_words,
     take_bits,
-    xor_bytes,
-    xor_many,
 )
 from .cube import cube_dims, index_to_coords
 from .errors import BudgetExhaustedError, ValidationError
@@ -67,34 +69,55 @@ class KeyBudget:
 class MaskSet:
     """All pads for one session, shared by the two databases.
 
-    ``r`` and ``r_prime`` are per-dimension tables of m L-bit words;
-    ``t_a``, ``t_b``, ``u1``, ``u2`` hold one word per dimension; ``a`` is
-    the first database's A0 pad and ``b`` the derived second-database pad.
+    Every word is a ``ceil(L/8)``-byte row of one array over the drawn
+    material. ``r`` and ``r_prime`` are ``(3, m, .)`` per-dimension tables;
+    ``t_a``, ``t_b``, ``u1``, ``u2`` are ``(3, .)``, one word per dimension;
+    ``a`` is the first database's A0 pad and ``b`` the derived
+    second-database pad.
     """
 
     m: int
     record_bits: int
-    r: tuple[tuple[bytes, ...], ...]
-    r_prime: tuple[tuple[bytes, ...], ...]
-    t_a: tuple[bytes, bytes, bytes]
-    t_b: tuple[bytes, bytes, bytes]
-    u1: tuple[bytes, bytes, bytes]
-    u2: tuple[bytes, bytes, bytes]
-    a: bytes
-    b: bytes
+    r: np.ndarray
+    r_prime: np.ndarray
+    t_a: np.ndarray
+    t_b: np.ndarray
+    u1: np.ndarray
+    u2: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MaskedAnswerBundle:
-    """A database's padded reply: A0', 3m padded flips, 3 blinded tags."""
+    """A database's padded reply as one ``(3m + 4, ceil(L/8))`` array.
 
-    a0: bytes
-    flips: tuple[tuple[bytes, ...], ...]
-    tags: tuple[bytes, bytes, bytes]
+    Rows are in wire order: A0', the 3m padded flips dimension-major, the
+    3 blinded tags. ``a0``, ``flips`` and ``tags`` are views of them.
+    """
+
+    words: np.ndarray
 
     @property
     def m(self) -> int:
-        return len(self.flips[0])
+        return (len(self.words) - 4) // BUNDLE_WORDS_PER_M
+
+    @property
+    def a0(self) -> np.ndarray:
+        return self.words[0]
+
+    @property
+    def flips(self) -> np.ndarray:
+        return self.words[1:-3].reshape(3, self.m, -1)
+
+    @property
+    def tags(self) -> np.ndarray:
+        return self.words[-3:]
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, MaskedAnswerBundle) and np.array_equal(
+            self.words, other.words
+        )
 
 
 def mask_material_bits(m: int, record_bits: int) -> int:
@@ -132,35 +155,11 @@ def derive_mask_set(material: bytes, m: int, record_bits: int) -> MaskSet:
     need = mask_material_bits(m, record_bits)
     if 8 * len(material) < need:
         raise BudgetExhaustedError("mask-set", need, 8 * len(material))
-    offset = 0
-
-    def draw() -> bytes:
-        nonlocal offset
-        word = take_bits(material, offset, record_bits)
-        offset += record_bits
-        return word
-
-    def draw_table() -> tuple[tuple[bytes, ...], ...]:
-        return tuple(
-            tuple(draw() for _ in range(m)) for _ in range(3)
-        )
-
-    def draw_triple() -> tuple[bytes, bytes, bytes]:
-        return (draw(), draw(), draw())
-
-    r = draw_table()
-    r_prime = draw_table()
-    t_a = draw_triple()
-    t_b = draw_triple()
-    u1 = draw_triple()
-    u2 = draw_triple()
-    a = draw()
-    b = a
-    for d in range(3):
-        b = xor_bytes(b, t_a[d])
-        b = xor_bytes(b, t_b[d])
-        b = xor_bytes(b, u1[d])
-        b = xor_bytes(b, u2[d])
+    nbytes = bytes_for_bits(record_bits)
+    rows = split_words(take_bits(material, 0, need), 6 * m + 13, record_bits)
+    r, r_prime = rows[:6 * m].reshape(2, 3, m, nbytes)
+    t_a, t_b, u1, u2 = rows[6 * m:-1].reshape(4, 3, nbytes)
+    a = rows[-1]
     return MaskSet(
         m=m,
         record_bits=record_bits,
@@ -171,15 +170,7 @@ def derive_mask_set(material: bytes, m: int, record_bits: int) -> MaskSet:
         u1=u1,
         u2=u2,
         a=a,
-        b=b,
-    )
-
-
-def _g(table: tuple[tuple[bytes, ...], ...], d: int, members: int, m: int,
-       nbytes: int) -> bytes:
-    """G_d(members; table): XOR of table words at the set positions."""
-    return xor_many(
-        (table[d][p] for p in mask_to_positions(members, m)), nbytes
+        b=a ^ np.bitwise_xor.reduce(rows[6 * m:-1], axis=0),
     )
 
 
@@ -216,26 +207,19 @@ def mask_bundle(
         a0_pad, t, flip_table, tag_table, blind = (
             masks.b, masks.t_b, masks.r_prime, masks.r, masks.u2
         )
-    bases = [
-        xor_bytes(_g(flip_table, d, query.dim(d), m, nbytes), t[d])
-        for d in range(3)
-    ]
-    flips = tuple(
-        tuple(
-            xor_many(
-                (bundle.flips[d][p], bases[d], flip_table[d][p]), nbytes
-            )
-            for p in range(m)
-        )
-        for d in range(3)
-    )
-    tags = tuple(
-        xor_bytes(_g(tag_table, d, query.dim(d), m, nbytes), blind[d])
-        for d in range(3)
-    )
-    return MaskedAnswerBundle(
-        a0=xor_bytes(bundle.a0, a0_pad), flips=flips, tags=tags
-    )
+    masked = MaskedAnswerBundle(np.empty((3 * m + 4, nbytes), np.uint8))
+    bases, tags = np.empty((3, nbytes), np.uint8), masked.tags
+    for d in range(3):
+        members = mask_to_positions(query.dim(d), m)
+        bases[d] = np.bitwise_xor.reduce(flip_table[d][members], axis=0)
+        tags[d] = np.bitwise_xor.reduce(tag_table[d][members], axis=0)
+    bases ^= t
+    tags ^= blind
+    masked.words[0] = np.frombuffer(bundle.a0, np.uint8) ^ a0_pad
+    flips = masked.flips
+    np.bitwise_xor(bundle.flips, flip_table, out=flips)
+    flips ^= bases[:, None]
+    return masked
 
 
 def unmask_reconstruct(
@@ -245,35 +229,18 @@ def unmask_reconstruct(
     m = mb1.m
     if mb2.m != m:
         raise ValidationError(f"bundle sizes disagree: m={m} vs m={mb2.m}")
-    coords = index_to_coords(x, m)
-    acc = xor_bytes(mb1.a0, mb2.a0)
-    for d in range(3):
-        acc = xor_bytes(acc, mb1.flips[d][coords[d]])
-        acc = xor_bytes(acc, mb2.flips[d][coords[d]])
-        acc = xor_bytes(acc, mb1.tags[d])
-        acc = xor_bytes(acc, mb2.tags[d])
-    return acc
-
-
-def _bundle_words(mb: MaskedAnswerBundle) -> list[bytes]:
-    """Serialization order: A0', flips dimension-major, tags 1..3."""
-    words = [mb.a0]
-    for d in range(3):
-        words.extend(mb.flips[d])
-    words.extend(mb.tags)
-    return words
+    i, j, k = index_to_coords(x, m)
+    rows = [0, 1 + i, 1 + m + j, 1 + 2 * m + k, -3, -2, -1]
+    return np.bitwise_xor.reduce(
+        mb1.words[rows] ^ mb2.words[rows], axis=0
+    ).tobytes()
 
 
 def serialize_masked_bundle(
     mb: MaskedAnswerBundle, record_bits: int
 ) -> bytes:
     """Bit-pack the (3m + 4) L-bit words little-endian, zero-padded."""
-    acc = 0
-    offset = 0
-    for word in _bundle_words(mb):
-        acc |= int.from_bytes(word, "little") << offset
-        offset += record_bits
-    return acc.to_bytes(bytes_for_bits(offset), "little")
+    return join_words(mb.words, record_bits)
 
 
 def deserialize_masked_bundle(
@@ -288,13 +255,6 @@ def deserialize_masked_bundle(
         )
     if total_bits % 8 and payload[-1] >> (total_bits % 8):
         raise ValidationError("answer payload sets bits beyond its width")
-    words = [
-        take_bits(payload, i * record_bits, record_bits)
-        for i in range(3 * m + 4)
-    ]
-    flips = tuple(
-        tuple(words[1 + d * m + p] for p in range(m)) for d in range(3)
-    )
     return MaskedAnswerBundle(
-        a0=words[0], flips=flips, tags=tuple(words[1 + 3 * m:])
+        split_words(take_bits(payload, 0, total_bits), 3 * m + 4, record_bits)
     )

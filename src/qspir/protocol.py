@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitops import bytes_for_bits, mask_to_positions, xor_bytes
+from .bitops import bytes_for_bits, mask_to_positions
 from .cube import Database, index_to_coords
 from .errors import RangeError, ValidationError
 from .rng import BitSource
@@ -64,12 +64,13 @@ class QueryTriple:
 class AnswerBundle:
     """One database's unmasked reply: ``1 + 3m`` components of L bits.
 
-    ``a0`` is the queried subcube XOR; ``flips[d][p]`` is the same XOR with
+    ``a0`` is the queried subcube XOR as bytes. ``flips`` is a ``(3, m,
+    ceil(L/8))`` uint8 array whose row ``flips[d][p]`` is the same XOR with
     dimension ``d``'s membership vector toggled at position ``p``.
     """
 
     a0: bytes
-    flips: tuple[tuple[bytes, ...], ...]
+    flips: np.ndarray
 
     @property
     def m(self) -> int:
@@ -146,10 +147,7 @@ def compute_answer_bundle(cube: Database, query: QueryTriple) -> AnswerBundle:
         _xor_planes(sums[2], (t[j] for j in s2))
     a0 = np.bitwise_xor.reduce(sums[0][s1], axis=0)
     np.bitwise_xor(sums, a0, out=sums)
-    return AnswerBundle(
-        a0=a0.tobytes(),
-        flips=tuple(tuple(row.tobytes() for row in dim) for dim in sums),
-    )
+    return AnswerBundle(a0=a0.tobytes(), flips=sums)
 
 
 def reconstruct_plain(
@@ -159,12 +157,10 @@ def reconstruct_plain(
     m = ans1.m
     if ans2.m != m:
         raise ValidationError(f"bundle sizes disagree: m={m} vs m={ans2.m}")
-    coords = index_to_coords(x, m)
-    acc = xor_bytes(ans1.a0, ans2.a0)
-    for d in range(3):
-        acc = xor_bytes(acc, ans1.flips[d][coords[d]])
-        acc = xor_bytes(acc, ans2.flips[d][coords[d]])
-    return acc
+    rows = [0, 1, 2], list(index_to_coords(x, m))
+    a0 = np.frombuffer(ans1.a0, np.uint8) ^ np.frombuffer(ans2.a0, np.uint8)
+    flips = ans1.flips[rows] ^ ans2.flips[rows]
+    return (a0 ^ np.bitwise_xor.reduce(flips, axis=0)).tobytes()
 
 
 def encode_query(query: QueryTriple) -> bytes:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from decimal import ROUND_FLOOR, Decimal, getcontext
 
-from qspir.bitops import bit_get, bytes_for_bits
+from qspir.bitops import bytes_for_bits
 
 getcontext().prec = 60
 
@@ -49,6 +49,25 @@ def key_length_oracle(
     )
     floored = int(raw.to_integral_value(rounding=ROUND_FLOOR))
     return max(0, floored)
+
+
+def bit_get(buf: bytes, i: int) -> int:
+    """Bit ``i`` of a little-endian-bit-order buffer."""
+    return (buf[i >> 3] >> (i & 7)) & 1
+
+
+def pack_bits(bits) -> bytes:
+    """Pack a 0/1 sequence into bytes, little-endian bit order."""
+    acc = 0
+    for i, b in enumerate(bits):
+        if b:
+            acc |= 1 << i
+    return acc.to_bytes(bytes_for_bits(len(bits)), "little")
+
+
+def unpack_bits(buf: bytes, nbits: int) -> list[int]:
+    """Inverse of :func:`pack_bits`."""
+    return [bit_get(buf, i) for i in range(nbits)]
 
 
 def toeplitz_matrix_oracle(

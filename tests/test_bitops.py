@@ -2,16 +2,15 @@ import random
 
 import pytest
 
+from oracles import bit_get, pack_bits, unpack_bits
 from qspir.bitops import (
-    bit_get,
     bytes_for_bits,
     mask_to_positions,
-    pack_bits,
+    join_words,
     pad_value,
+    split_words,
     take_bits,
-    unpack_bits,
     xor_bytes,
-    xor_many,
 )
 
 
@@ -31,17 +30,6 @@ def test_xor_bytes_involution():
         assert xor_bytes(a, bytes(n)) == a
     with pytest.raises(ValueError):
         xor_bytes(b"ab", b"abc")
-
-
-def test_xor_many():
-    assert xor_many([], 3) == b"\x00\x00\x00"
-    items = [bytes([i, i + 1]) for i in range(5)]
-    acc = bytes(2)
-    for item in items:
-        acc = xor_bytes(acc, item)
-    assert xor_many(items, 2) == acc
-    with pytest.raises(ValueError):
-        xor_many([b"a", b"bc"], 1)
 
 
 def test_pack_unpack_roundtrip():
@@ -95,6 +83,22 @@ def test_take_bits_window_agrees_with_whole_buffer_reference():
                 assert int.from_bytes(got, "little") == reference(buf, off, n)
         with pytest.raises(ValueError):
             take_bits(bytearray(material), total - 2, 3)
+
+
+def test_split_and_join_words_match_int_packing():
+    rng = random.Random(5)
+    for nbits in (1, 5, 8, 17, 33, 4656, 4657):
+        for count in (1, 3, 34):
+            values = [rng.getrandbits(nbits) for _ in range(count)]
+            packed = sum(v << (i * nbits) for i, v in enumerate(values))
+            wire = packed.to_bytes(bytes_for_bits(count * nbits), "little")
+            rows = split_words(wire, count, nbits)
+            assert rows.shape == (count, bytes_for_bits(nbits))
+            # Equal values imply zero spare high bits in every row.
+            assert [int.from_bytes(row, "little") for row in rows] == values
+            assert join_words(rows, nbits) == wire
+            longer = split_words(wire + b"\xff", count, nbits)
+            assert longer.tobytes() == rows.tobytes()
 
 
 def test_mask_to_positions():

@@ -106,7 +106,7 @@ def test_slab_toggle_identity():
         for p in range(m):
             toggled = list(q)
             toggled[d] ^= 1 << p
-            assert bundle.flips[d][p] == _bundle(db, toggled).a0
+            assert bundle.flips[d][p].tobytes() == _bundle(db, toggled).a0
 
 
 def test_snapshot_roundtrip(tmp_path):

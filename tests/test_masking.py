@@ -1,9 +1,10 @@
 import random
 
+import numpy as np
 import pytest
 
 from qspir.bitops import bytes_for_bits, xor_bytes
-from qspir.cube import Database
+from qspir.cube import Database, index_to_coords
 from qspir.errors import BudgetExhaustedError, ValidationError
 from qspir.masking import (
     MaskedAnswerBundle,
@@ -45,6 +46,13 @@ def _session(db, x, seed):
     mb1 = mask_bundle(compute_answer_bundle(db, q1), q1, 1, masks)
     mb2 = mask_bundle(compute_answer_bundle(db, q2), q2, 2, masks)
     return q1, q2, masks, mb1, mb2
+
+
+def _words(rows):
+    """Each L-bit row of an array as ``bytes``, nested like the array."""
+    if rows.ndim == 1:
+        return rows.tobytes()
+    return tuple(_words(row) for row in rows)
 
 
 def test_budget_pinned_values():
@@ -95,19 +103,19 @@ def test_derive_mask_set_draw_order_and_b():
     expect_rp = tuple(
         tuple(words[3 * m + d * m + p] for p in range(m)) for d in range(3)
     )
-    assert masks.r == expect_r
-    assert masks.r_prime == expect_rp
+    assert _words(masks.r) == expect_r
+    assert _words(masks.r_prime) == expect_rp
     base = 6 * m
-    assert masks.t_a == tuple(words[base : base + 3])
-    assert masks.t_b == tuple(words[base + 3 : base + 6])
-    assert masks.u1 == tuple(words[base + 6 : base + 9])
-    assert masks.u2 == tuple(words[base + 9 : base + 12])
-    assert masks.a == words[base + 12]
-    b = masks.a
+    assert _words(masks.t_a) == tuple(words[base : base + 3])
+    assert _words(masks.t_b) == tuple(words[base + 3 : base + 6])
+    assert _words(masks.u1) == tuple(words[base + 6 : base + 9])
+    assert _words(masks.u2) == tuple(words[base + 9 : base + 12])
+    assert _words(masks.a) == words[base + 12]
+    b = _words(masks.a)
     for d in range(3):
         for part in (masks.t_a[d], masks.t_b[d], masks.u1[d], masks.u2[d]):
-            b = xor_bytes(b, part)
-    assert masks.b == b
+            b = xor_bytes(b, _words(part))
+    assert _words(masks.b) == b
 
 
 def test_derive_mask_set_insufficient_material():
@@ -143,13 +151,42 @@ def test_masking_actually_pads_components():
     x = 13
     q1, q2, masks, mb1, mb2 = _session(db, x, "pad-check")
     bundle1 = compute_answer_bundle(db, q1)
-    assert mb1.a0 != bundle1.a0
+    assert _words(mb1.a0) != bundle1.a0
     changed = sum(
-        mb1.flips[d][p] != bundle1.flips[d][p]
+        _words(mb1.flips[d][p]) != _words(bundle1.flips[d][p])
         for d in range(3)
         for p in range(db.m)
     )
     assert changed == 3 * db.m
+
+
+def test_masked_bundle_is_one_array_of_rows_in_wire_order():
+    rng = random.Random(36)
+    for record_bits in (1, 5, 16, 17):
+        db = _database(rng, 27, record_bits)
+        x = rng.randrange(27)
+        _, _, _, mb1, mb2 = _session(db, x, f"rows-{record_bits}")
+        m, nbytes = db.m, bytes_for_bits(record_bits)
+        assert mb1.words.shape == (3 * m + 4, nbytes)
+        for view in (mb1.a0, mb1.flips, mb1.tags):
+            assert np.shares_memory(view, mb1.words)
+        words = [mb1.a0, *mb1.flips.reshape(-1, nbytes), *mb1.tags]
+        packed = 0
+        for i, word in enumerate(words):
+            packed |= int.from_bytes(word, "little") << (i * record_bits)
+        assert serialize_masked_bundle(mb1, record_bits) == packed.to_bytes(
+            bytes_for_bits(answer_payload_bits(m, record_bits)), "little"
+        )
+        # The honest combination is the XOR of 7 rows from each bundle.
+        i, j, k = index_to_coords(x, m)
+        acc = 0
+        for mb in (mb1, mb2):
+            for word in (mb.a0, mb.flips[0][i], mb.flips[1][j],
+                         mb.flips[2][k], *mb.tags):
+                acc ^= int.from_bytes(word, "little")
+        assert unmask_reconstruct(mb1, mb2, x) == acc.to_bytes(
+            nbytes, "little"
+        ) == db.entry(x)
 
 
 def test_serialize_roundtrip_and_strictness():
@@ -207,13 +244,13 @@ def _mask_bundle_per_flip(bundle, query, role, masks):
         acc = bytes(nbytes)
         for i in range(m):
             if (members >> i) & 1:
-                acc = xor_bytes(acc, table[d][i])
+                acc = xor_bytes(acc, _words(table[d][i]))
         return acc
 
     flips = tuple(
         tuple(
             xor_bytes(
-                xor_bytes(bundle.flips[d][p], t[d]),
+                xor_bytes(_words(bundle.flips[d][p]), _words(t[d])),
                 g(flip_table, d, query.dim(d) ^ (1 << p)),
             )
             for p in range(m)
@@ -221,10 +258,12 @@ def _mask_bundle_per_flip(bundle, query, role, masks):
         for d in range(3)
     )
     tags = tuple(
-        xor_bytes(g(tag_table, d, query.dim(d)), blind[d]) for d in range(3)
+        xor_bytes(g(tag_table, d, query.dim(d)), _words(blind[d]))
+        for d in range(3)
     )
+    words = [xor_bytes(bundle.a0, _words(a0_pad)), *sum(flips, ()), *tags]
     return MaskedAnswerBundle(
-        a0=xor_bytes(bundle.a0, a0_pad), flips=flips, tags=tags
+        np.frombuffer(b"".join(words), np.uint8).reshape(3 * m + 4, nbytes)
     )
 
 
