@@ -22,7 +22,7 @@ import struct
 from dataclasses import dataclass
 
 from ..cube import cube_dims
-from ..errors import FramingError
+from ..errors import FramingError, SpirError
 from ..keystore import KeySlice, KeyStore
 from ..masking import answer_payload_bits, mask_material_bits
 
@@ -113,7 +113,11 @@ def reserve_user_slices(
     geometry: SessionGeometry,
     index: int,
 ) -> SessionSlices:
-    """Reserve the send and receive slices for one session, by index."""
+    """Reserve the send and receive slices for one session, by index.
+
+    All or nothing: if the receive slice cannot be reserved, the send
+    slice is released again before the error propagates.
+    """
     send = store.reserve_at(
         pool_id,
         session,
@@ -121,13 +125,17 @@ def reserve_user_slices(
         geometry.send_slice_bits,
         "query-otp",
     )
-    receive = store.reserve_at(
-        pool_id,
-        session,
-        geometry.receive_offset(index),
-        geometry.receive_slice_bits,
-        "answer-otp",
-    )
+    try:
+        receive = store.reserve_at(
+            pool_id,
+            session,
+            geometry.receive_offset(index),
+            geometry.receive_slice_bits,
+            "answer-otp",
+        )
+    except SpirError:
+        store.release(send, session)
+        raise
     return SessionSlices(send=send, receive=receive)
 
 

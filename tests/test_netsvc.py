@@ -235,6 +235,52 @@ def test_one_distillation_pays_for_six_user_sessions_and_two_pair_sessions():
     store.audit_no_reuse()
 
 
+def test_failed_receive_reservation_releases_its_send_slice(tmp_path):
+    geom = SessionGeometry.for_database(800, 4656)
+    material = BitSource("user-dc1").take_bytes(141_740)
+    ledger = str(tmp_path / "user.ledger")
+    store = KeyStore(ledger)
+    pool = store.add_pool(KeyPool("user-dc1", material))
+    for index in range(6):
+        reserve_user_slices(store, "user-dc1", f"session-{index}", geom, index)
+    # Session 6's send slice fits the pool, its receive slice does not.
+    with pytest.raises(BudgetExhaustedError):
+        reserve_user_slices(store, "user-dc1", "session-6", geom, 6)
+    assert len(pool.reservations) == 12
+    assert {r.session for r in pool.reservations} == {
+        f"session-{index}" for index in range(6)
+    }
+    replayed = KeyPool("user-dc1", material)
+    replayed.replay_ledger(KeyStore.read_ledger(ledger))
+    assert replayed.reservations == pool.reservations
+
+
+def test_retrieve_whose_second_link_lacks_a_receive_slice_keeps_nothing():
+    geom = SessionGeometry.for_database(8, 24)
+    slot = geom.send_slice_bits + geom.receive_slice_bits
+    store = KeyStore()
+    # user-dc2 holds the send slice of session 0 but not all of its slot.
+    for link, bits in (("user-dc1", slot), ("user-dc2", slot - 8)):
+        store.add_pool(
+            KeyPool(link, BitSource(link).take_bytes(bytes_for_bits(bits)))
+        )
+
+    def unreachable(frame):
+        raise AssertionError("no frame may leave before the slots are held")
+
+    client = UserClient(
+        store,
+        geom,
+        DataCentreLink("dc1", "user-dc1", unreachable),
+        DataCentreLink("dc2", "user-dc2", unreachable),
+        rng=BitSource("client"),
+    )
+    with pytest.raises(BudgetExhaustedError):
+        client.retrieve(0)
+    assert store.pool("user-dc2").reservations == ()
+    assert store.pool("user-dc1").reservations == ()
+
+
 # -- end-to-end retrieval ----------------------------------------------------
 
 
